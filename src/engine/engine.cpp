@@ -111,6 +111,54 @@ std::uint64_t caps_signature(
   return h;
 }
 
+std::string port_name(const Network& net, LinkId l) {
+  return net.node(net.link(l).source).name + ">" +
+         net.node(net.link(l).dest).name;
+}
+
+/// Per-path WCNC assembly: a path is only as good as every port it
+/// crosses; the first non-ok port carries the explanation in `status`.
+template <typename PortOutcomes>
+Microseconds wcnc_path_bound(const TrafficConfig& cfg, const VlPath& p,
+                             const PortOutcomes& ports,
+                             const netcalc::DelayTable& delays,
+                             PathStatus& status) {
+  const std::uint8_t level = cfg.vl(p.vl).priority;
+  Microseconds total = 0.0;
+  for (LinkId l : p.links) {
+    if (ports[l].state != PathState::kOk) {
+      status = PathStatus{
+          ports[l].state,
+          "wcnc: port " + port_name(cfg.network(), l) + " " +
+              std::string(to_string(ports[l].state)) +
+              (ports[l].message.empty() ? "" : ": " + ports[l].message)};
+      return kInf;
+    }
+    AFDX_ASSERT(delays.has(l, level), "engine: missing level delay");
+    total += delays.get(l, level);
+  }
+  return total;
+}
+
+/// A path's outcome from its two methods' outcomes: ok as long as one
+/// method produced a bound, with the degraded method still named.
+PathStatus combined_status(const PathStatus& nc, const PathStatus& tj,
+                           Microseconds combined) {
+  std::string message = nc.message;
+  if (!tj.ok()) {
+    if (!message.empty()) message += "; ";
+    message += "trajectory " + std::string(to_string(tj.state)) + ": " +
+               tj.message;
+  }
+  if (std::isfinite(combined)) {
+    return PathStatus{PathState::kOk, std::move(message)};
+  }
+  const bool failed =
+      nc.state == PathState::kFailed || tj.state == PathState::kFailed;
+  return PathStatus{failed ? PathState::kFailed : PathState::kSkipped,
+                    std::move(message)};
+}
+
 }  // namespace
 
 const char* to_string(PathState state) noexcept {
@@ -153,11 +201,10 @@ void RunMetrics::print(std::ostream& out) const {
       << max_level_width << ")\n"
       << "  port cache: " << cache.hits << " hits / " << cache.misses
       << " misses (" << std::setprecision(1)
-      << finite_or_zero(cache.hit_rate()) * 100.0 << " % hit rate, "
-      << cache.seeded << " seeded, " << cache.evicted << " evicted)\n"
+      << finite_or_zero(cache.hit_rate()) * 100.0 << " % hit rate)\n"
       << "  prefix cache: " << prefix.hits << " hits / " << prefix.misses
       << " misses (" << finite_or_zero(prefix.hit_rate()) * 100.0
-      << " % hit rate, " << prefix.seeded << " seeded)\n"
+      << " % hit rate, " << prefix.reused << " from a baseline)\n"
       << "  steals: " << steals << "\n";
   if (!shards.empty()) {
     out << "  shards:";
@@ -176,7 +223,7 @@ void RunMetrics::print(std::ostream& out) const {
           << " changed links -> " << incremental.dirty_ports
           << " dirty ports, " << incremental.seeded_ports
           << " ports + " << incremental.seeded_prefixes
-          << " prefixes seeded, " << incremental.transplanted_paths
+          << " prefixes reused, " << incremental.transplanted_paths
           << " paths transplanted\n";
     }
   }
@@ -310,33 +357,32 @@ AnalysisEngine::TrajectoryContext AnalysisEngine::resolve_trajectory_context(
   return ctx;
 }
 
-const std::vector<VlId>& AnalysisEngine::locality_vl_order() {
-  if (!locality_order_.has_value()) {
-    const std::vector<VlPath>& paths = cfg_.all_paths();
-    std::vector<const std::vector<LinkId>*> route(cfg_.vl_count(), nullptr);
-    std::vector<VlId> order;
-    for (const VlPath& p : paths) {
-      if (route[p.vl] == nullptr) {
-        route[p.vl] = &p.links;
-        order.push_back(p.vl);
-      }
-    }
-    // Lexicographic by route: VLs sharing their source port (and deeper
-    // prefixes) become contiguous, so the chunk a worker claims (or
-    // steals -- the scheduler moves contiguous blocks) covers one
-    // neighbourhood of the topology and its prefix recursions overlap.
-    // Ties (identical first routes, e.g. same-route multicast siblings)
-    // fall back to the id for a total, deterministic order.
-    std::sort(order.begin(), order.end(), [&](VlId a, VlId b) {
-      const std::vector<LinkId>& la = *route[a];
-      const std::vector<LinkId>& lb = *route[b];
-      if (la == lb) return a < b;
-      return std::lexicographical_compare(la.begin(), la.end(), lb.begin(),
-                                          lb.end());
-    });
-    locality_order_ = std::move(order);
+std::vector<AnalysisEngine::VlWork> AnalysisEngine::locality_work(
+    const std::vector<std::size_t>& paths) const {
+  // all_paths() is ordered by VL, so the paths of one VL are contiguous in
+  // any ascending subset.
+  const std::vector<VlPath>& all = cfg_.all_paths();
+  std::vector<VlWork> work;
+  for (std::size_t k = 0; k < paths.size();) {
+    VlWork w{all[paths[k]].vl, k, k};
+    while (k < paths.size() && all[paths[k]].vl == w.vl) ++k;
+    w.end = k;
+    work.push_back(w);
   }
-  return *locality_order_;
+  // Lexicographic by the VL's first route: VLs sharing their source port
+  // (and deeper prefixes) become contiguous, so the chunk a worker claims
+  // (or steals -- the scheduler moves contiguous blocks) covers one
+  // neighbourhood of the topology and its prefix recursions overlap. Ties
+  // (identical first routes, e.g. same-route multicast siblings) fall back
+  // to the id for a total, deterministic order.
+  std::sort(work.begin(), work.end(), [&](const VlWork& a, const VlWork& b) {
+    const std::vector<LinkId>& la = all[cfg_.first_path(a.vl)].links;
+    const std::vector<LinkId>& lb = all[cfg_.first_path(b.vl)].links;
+    if (la == lb) return a.vl < b.vl;
+    return std::lexicographical_compare(la.begin(), la.end(), lb.begin(),
+                                        lb.end());
+  });
+  return work;
 }
 
 std::vector<Microseconds> AnalysisEngine::run_trajectory(
@@ -344,16 +390,7 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory(
   AFDX_TRACE_SPAN("engine.trajectory", "engine");
   const std::vector<VlPath>& paths = cfg_.all_paths();
   std::vector<Microseconds> out(paths.size(), 0.0);
-
-  // Baseline prefixes queued by run_incremental are transplanted into the
-  // run's shared cache first.
   const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  for (const PrefixSeed& s : pending_prefix_seeds_) {
-    pcache->seed(s.vl, s.link, s.bound);
-  }
-  pending_prefix_seeds_.clear();
-  pending_path_transplants_.clear();
-  last_prefix_cache_ = pcache;
 
   // Work items are whole VLs in locality order: paths of one VL share
   // their prefix recursion, so keeping a VL in one chunk preserves the
@@ -361,11 +398,9 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory(
   // chunk cover one topology neighbourhood. Every bound is a pure
   // function of (configuration, options, caps), so dynamic (stolen)
   // assignment of VLs to workers stays bit-identical.
-  std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    vl_paths[paths[i].vl].push_back(i);
-  }
-  const std::vector<VlId>& vl_order = locality_vl_order();
+  std::vector<std::size_t> all(paths.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<VlWork> work = locality_work(all);
 
   struct Shard {
     std::unique_ptr<trajectory::Analyzer> analyzer;
@@ -373,7 +408,7 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory(
     std::size_t paths_done = 0;
   };
   std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
+  pool_.parallel_for_dynamic(work.size(), [&](std::size_t k, int w) {
     Shard& shard = local[static_cast<std::size_t>(w)];
     if (!shard.analyzer) {
       AFDX_TRACE_SPAN("engine.trajectory.shard", "engine");
@@ -382,7 +417,8 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory(
       shard.analyzer->set_prefix_cache(pcache.get());
     }
     ++shard.vls;
-    for (std::size_t i : vl_paths[vl_order[k]]) {
+    for (std::size_t j = work[k].begin; j < work[k].end; ++j) {
+      const std::size_t i = all[j];
       out[i] = shard.analyzer->bound_to_link(paths[i].vl, paths[i].links.back());
       ++shard.paths_done;
     }
@@ -444,14 +480,15 @@ RunResult AnalysisEngine::run(const netcalc::Options& nc_options,
   result.status.assign(result.combined.size(), PathStatus{});
   result.nc_options_key = PortCache::options_key(nc_options);
   result.tj_options_key = tj_ctx.tj_key;
-  result.prefixes = last_prefix_cache_;
+  result.prefixes = tj_ctx.pcache->snapshot();
   result.metrics = metrics();
   return result;
 }
 
 netcalc::Result AnalysisEngine::run_netcalc_contained(
     const netcalc::Options& options, const RunControl& control,
-    std::vector<PortOutcome>& ports) {
+    std::vector<PortOutcome>& ports, netcalc::DelayTable& delays,
+    const Reuse* reuse) {
   AFDX_TRACE_SPAN("engine.netcalc.contained", "engine");
   const Network& net = cfg_.network();
   const std::size_t n_links = net.link_count();
@@ -460,44 +497,75 @@ netcalc::Result AnalysisEngine::run_netcalc_contained(
   result.ports.assign(n_links, netcalc::PortReport{});
   result.iterations = 1;
   ports.assign(n_links, PortOutcome{});
+  metrics_.levels = 0;
+  metrics_.max_level_width = 0;
 
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
-  const auto mark_all_used = [&](PathState state, const std::string& msg) {
-    for (LinkId l = 0; l < n_links; ++l) {
-      if (!cfg_.vls_on_link(l).empty()) ports[l] = PortOutcome{state, msg};
-    }
-  };
   const auto expired = [&] {
     return control.cancel != nullptr && control.cancel->expired();
   };
 
-  const auto levels = netcalc::propagation_levels(cfg_);
-  if (!levels.has_value()) {
-    // Cyclic configuration: the fixed point is inherently all-or-nothing,
-    // so containment degrades to whole-phase granularity.
+  // The ports this phase computes: every used port, or only the dirty
+  // cone when a baseline supplies the clean ones. Clean ports keep the
+  // baseline's bounds verbatim (their inputs are bit-identical by the
+  // dirty closure); only the utilization is read from this configuration.
+  std::vector<LinkId> compute;
+  if (reuse == nullptr) {
+    for (LinkId l = 0; l < n_links; ++l) {
+      if (!cfg_.vls_on_link(l).empty()) compute.push_back(l);
+    }
+  } else {
+    const netcalc::Result& base = reuse->baseline->netcalc_result;
+    for (LinkId l : reuse->plan->clean_ports) {
+      result.ports[l] = base.ports[l];
+      result.ports[l].utilization = cfg_.utilization(l);
+      delays.assign(l, base.ports[l].level_delays);
+    }
+    compute = reuse->plan->dirty_ports;
+  }
+
+  if (!cfg_.feed_forward()) {
+    // Cyclic configuration (never incremental): the fixed point is
+    // inherently all-or-nothing, so containment degrades to whole-phase
+    // granularity.
+    const auto mark_all = [&](PathState state, const std::string& msg) {
+      for (LinkId l : compute) ports[l] = PortOutcome{state, msg};
+    };
     if (expired()) {
-      mark_all_used(PathState::kSkipped, control.cancel->reason());
+      mark_all(PathState::kSkipped, control.cancel->reason());
       result.iterations = 0;
       return result;
     }
     try {
-      return run_netcalc(options);
+      result = run_netcalc(options);
+      for (LinkId l : compute) delays.assign(l, result.ports[l].level_delays);
+      return result;
     } catch (const std::exception& e) {
-      mark_all_used(PathState::kFailed, e.what());
+      mark_all(PathState::kFailed, e.what());
       result.iterations = 0;
       return result;
     }
   }
 
+  const auto levels = netcalc::propagation_levels(cfg_, compute);
+  AFDX_ASSERT(levels.has_value(),
+              "engine: dependency cycle in a feed-forward configuration");
+  metrics_.levels = levels->size();
+  static obs::Histogram& level_width =
+      obs::registry().histogram("engine.level.width");
   const std::uint64_t okey = PortCache::options_key(options);
-  const netcalc::PortFlowIndex& index = flow_index();
+  // A full run uses (and keeps) the whole flow index; an incremental run
+  // builds the rows of its cone only.
+  const netcalc::PortFlowIndex cone_index =
+      reuse != nullptr ? netcalc::build_port_flow_index(cfg_, compute)
+                       : netcalc::PortFlowIndex{};
+  const netcalc::PortFlowIndex& index =
+      reuse != nullptr ? cone_index : flow_index();
   std::vector<netcalc::PortBounds> bounds(n_links);
-  netcalc::DelayTable delays(cfg_);
   bool abandoned = false;
   for (const std::vector<LinkId>& level : *levels) {
+    level_width.observe(level.size());
+    metrics_.max_level_width = std::max(metrics_.max_level_width,
+                                        level.size());
     if (!abandoned && expired()) abandoned = true;
     if (abandoned) {
       for (LinkId port : level) {
@@ -506,13 +574,14 @@ netcalc::Result AnalysisEngine::run_netcalc_contained(
       }
       continue;
     }
+    AFDX_TRACE_SPAN("engine.netcalc.level", "engine");
 
     // Dependency screen (serial; only reads outcomes of earlier levels): a
     // port whose crossing VLs arrive via a failed or skipped port cannot be
     // computed -- its inputs are unknown -- and is skipped, which in turn
     // taints everything downstream of it.
-    std::vector<LinkId> compute;
-    compute.reserve(level.size());
+    std::vector<LinkId> todo;
+    todo.reserve(level.size());
     for (LinkId port : level) {
       LinkId bad = kInvalidLink;
       for (VlId v : cfg_.vls_on_link(port)) {
@@ -524,17 +593,17 @@ netcalc::Result AnalysisEngine::run_netcalc_contained(
       }
       if (bad != kInvalidLink) {
         ports[port] = PortOutcome{
-            PathState::kSkipped, "upstream port " + port_name(bad) +
+            PathState::kSkipped, "upstream port " + port_name(net, bad) +
                                      " unavailable (" +
                                      to_string(ports[bad].state) + ")"};
       } else {
-        compute.push_back(port);
+        todo.push_back(port);
       }
     }
 
     const auto failures = pool_.parallel_for_dynamic_contained(
-        compute.size(), [&](std::size_t i, int) {
-          const LinkId port = compute[i];
+        todo.size(), [&](std::size_t i, int) {
+          const LinkId port = todo[i];
           if (auto hit = cache_.lookup(okey, port); hit.has_value()) {
             bounds[port] = std::move(*hit);
           } else {
@@ -544,7 +613,7 @@ netcalc::Result AnalysisEngine::run_netcalc_contained(
           }
         });
     for (const ThreadPool::TaskFailure& f : failures) {
-      ports[compute[f.index]] = PortOutcome{PathState::kFailed, f.message};
+      ports[todo[f.index]] = PortOutcome{PathState::kFailed, f.message};
     }
     for (LinkId port : level) {
       if (ports[port].state != PathState::kOk) continue;
@@ -556,56 +625,12 @@ netcalc::Result AnalysisEngine::run_netcalc_contained(
   return result;
 }
 
-std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
+void AnalysisEngine::run_trajectory_contained(
     const TrajectoryContext& ctx, const RunControl& control,
-    std::vector<PathStatus>& path_status) {
+    const std::vector<std::size_t>& paths, const PathCallback& on_path) {
   AFDX_TRACE_SPAN("engine.trajectory.contained", "engine");
-  const std::vector<VlPath>& paths = cfg_.all_paths();
-  std::vector<Microseconds> out(paths.size(), kInf);
-  path_status.assign(paths.size(), PathStatus{});
-
-  // Queued baseline prefixes are only transplanted into the run's shared
-  // cache when the WCNC phase ran to its natural end: an expired cancel
-  // token means the context's caps may be uncapped placeholders rather
-  // than the baseline's values, which would poison the persistent cache.
-  // (A port-level WCNC failure cannot get here seeded wrong: seeded clean
-  // ports always hit the cache.)
-  const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  const bool expired = control.cancel != nullptr && control.cancel->expired();
-  if (!expired) {
-    for (const PrefixSeed& s : pending_prefix_seeds_) {
-      pcache->seed(s.vl, s.link, s.bound);
-    }
-  }
-  pending_prefix_seeds_.clear();
-  last_prefix_cache_ = pcache;
-
-  // Paths fully outside the dirty cone keep their baseline trajectory
-  // bound verbatim: every input of their recursion (own route, competing
-  // VLs, their upstream chains, the serialization caps of every port
-  // involved) is bit-identical by the dirty closure, so recomputing could
-  // only reproduce the same number. Skipping them makes a small-cone
-  // what-if cost proportional to its cone, not to the network.
-  std::vector<char> transplanted(paths.size(), 0);
-  for (const PathTransplant& t : pending_path_transplants_) {
-    out[t.path] = t.trajectory;
-    transplanted[t.path] = 1;
-  }
-  pending_path_transplants_.clear();
-
-  // Locality-ordered VL work items; VLs whose every path was transplanted
-  // drop out before any shard would touch them.
-  std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (transplanted[i]) continue;
-    vl_paths[paths[i].vl].push_back(i);
-  }
-  const std::vector<VlId>& order_all = locality_vl_order();
-  std::vector<VlId> vl_order;
-  vl_order.reserve(order_all.size());
-  for (VlId v : order_all) {
-    if (!vl_paths[v].empty()) vl_order.push_back(v);
-  }
+  const std::vector<VlPath>& all = cfg_.all_paths();
+  const std::vector<VlWork> work = locality_work(paths);
 
   // Per-worker analyzer state for the work-stealing loop. A throw
   // mid-recursion leaves the analyzer consistent -- the in-progress
@@ -625,7 +650,7 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
     try {
       shard.analyzer.emplace(cfg_, ctx.options);
       if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-      shard.analyzer->set_prefix_cache(pcache.get());
+      shard.analyzer->set_prefix_cache(ctx.pcache.get());
       shard.alive = true;
     } catch (const std::exception& e) {
       shard.construct_error = e.what();
@@ -634,30 +659,30 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
   };
   // The body never throws (all analysis errors are contained per path), so
   // the plain dynamic loop is enough.
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
+  pool_.parallel_for_dynamic(work.size(), [&](std::size_t k, int w) {
     Shard& shard = local[static_cast<std::size_t>(w)];
     if (!shard.initialized) {
       shard.initialized = true;
       fresh(shard);
     }
     ++shard.vls;
-    for (std::size_t i : vl_paths[vl_order[k]]) {
+    for (std::size_t j = work[k].begin; j < work[k].end; ++j) {
+      const std::size_t i = paths[j];
+      Microseconds bound = kInf;
+      PathStatus status;
       if (control.cancel != nullptr && control.cancel->expired()) {
-        path_status[i] =
-            PathStatus{PathState::kSkipped, control.cancel->reason()};
-        continue;
+        status = PathStatus{PathState::kSkipped, control.cancel->reason()};
+      } else if (!shard.alive) {
+        status = PathStatus{PathState::kFailed, shard.construct_error};
+      } else {
+        try {
+          bound = shard.analyzer->bound_to_link(all[i].vl, all[i].links.back());
+          ++shard.paths_done;
+        } catch (const std::exception& e) {
+          status = PathStatus{PathState::kFailed, e.what()};
+        }
       }
-      if (!shard.alive) {
-        path_status[i] = PathStatus{PathState::kFailed, shard.construct_error};
-        continue;
-      }
-      try {
-        out[i] =
-            shard.analyzer->bound_to_link(paths[i].vl, paths[i].links.back());
-        ++shard.paths_done;
-      } catch (const std::exception& e) {
-        path_status[i] = PathStatus{PathState::kFailed, e.what()};
-      }
+      on_path(i, bound, status);
     }
   });
 
@@ -669,19 +694,19 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
                                            c.lookups, c.local_hits,
                                            c.shared_hits});
   }
-  return out;
 }
 
 RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
                                         const trajectory::Options& tj_options,
                                         const RunControl& control) {
-  const Network& net = cfg_.network();
+  return run_resilient_with(nc_options, tj_options, control, nullptr);
+}
+
+RunResult AnalysisEngine::run_resilient_with(
+    const netcalc::Options& nc_options, const trajectory::Options& tj_options,
+    const RunControl& control, const Reuse* reuse) {
   const std::vector<VlPath>& paths = cfg_.all_paths();
   const std::size_t n = paths.size();
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
 
   AFDX_TRACE_SPAN("engine.run_resilient", "engine");
   RunResult result;
@@ -690,40 +715,40 @@ RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
   const auto t0 = Clock::now();
   const Microseconds cpu0 = cpu_now_us();
   std::vector<PortOutcome> nc_ports;
-  result.netcalc_result = run_netcalc_contained(nc_options, control, nc_ports);
+  netcalc::DelayTable delays(cfg_);
+  result.netcalc_result =
+      run_netcalc_contained(nc_options, control, nc_ports, delays, reuse);
 
-  // Per-path WCNC assembly: a path is only as good as every port it
-  // crosses; the first non-ok port carries the explanation.
   result.netcalc.assign(n, kInf);
   std::vector<PathStatus> nc_status(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const VlPath& p = paths[i];
-    const std::uint8_t level = cfg_.vl(p.vl).priority;
-    Microseconds total = 0.0;
-    for (LinkId l : p.links) {
-      if (nc_ports[l].state != PathState::kOk) {
-        nc_status[i] = PathStatus{
-            nc_ports[l].state,
-            "wcnc: port " + port_name(l) + " " +
-                std::string(to_string(nc_ports[l].state)) +
-                (nc_ports[l].message.empty() ? "" : ": " + nc_ports[l].message)};
-        total = kInf;
-        break;
-      }
-      const auto& delays = result.netcalc_result.ports[l].level_delays;
-      const auto it = delays.find(level);
-      AFDX_ASSERT(it != delays.end(), "engine: missing level delay");
-      total += it->second;
-    }
-    result.netcalc[i] = total;
+    result.netcalc[i] =
+        wcnc_path_bound(cfg_, paths[i], nc_ports, delays, nc_status[i]);
   }
   result.netcalc_result.path_bounds = result.netcalc;
   const auto t1 = Clock::now();
 
-  std::vector<PathStatus> tj_status;
+  // The trajectory phase over every path, or over the paths an
+  // incremental run could not carry over (with the baseline's prefixes
+  // layered under the run's cache).
   const TrajectoryContext tj_ctx = resolve_trajectory_context(
       tj_options, &result.netcalc_result, &nc_ports);
-  result.trajectory = run_trajectory_contained(tj_ctx, control, tj_status);
+  std::vector<std::size_t> every_path;
+  if (reuse != nullptr) {
+    result.trajectory = reuse->trajectory;
+    if (reuse->layer.has_value()) tj_ctx.pcache->set_layer(*reuse->layer);
+  } else {
+    result.trajectory.assign(n, kInf);
+    every_path.resize(n);
+    for (std::size_t i = 0; i < n; ++i) every_path[i] = i;
+  }
+  std::vector<PathStatus> tj_status(n);
+  run_trajectory_contained(
+      tj_ctx, control, reuse != nullptr ? reuse->paths : every_path,
+      [&](std::size_t i, Microseconds bound, const PathStatus& status) {
+        result.trajectory[i] = bound;
+        tj_status[i] = status;
+      });
   const auto t2 = Clock::now();
 
   // Combine: the per-path minimum over the methods that did produce a
@@ -733,21 +758,8 @@ RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
   result.status.assign(n, PathStatus{});
   for (std::size_t i = 0; i < n; ++i) {
     result.combined[i] = std::min(result.netcalc[i], result.trajectory[i]);
-    std::string message = nc_status[i].message;
-    if (!tj_status[i].ok()) {
-      if (!message.empty()) message += "; ";
-      message += "trajectory " + std::string(to_string(tj_status[i].state)) +
-                 ": " + tj_status[i].message;
-    }
-    if (std::isfinite(result.combined[i])) {
-      result.status[i] = PathStatus{PathState::kOk, std::move(message)};
-    } else {
-      const bool failed = nc_status[i].state == PathState::kFailed ||
-                          tj_status[i].state == PathState::kFailed;
-      result.status[i] = PathStatus{
-          failed ? PathState::kFailed : PathState::kSkipped,
-          std::move(message)};
-    }
+    result.status[i] =
+        combined_status(nc_status[i], tj_status[i], result.combined[i]);
   }
   const auto t3 = Clock::now();
 
@@ -765,9 +777,12 @@ RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
   obs::registry().counter("engine.paths").add(n);
   metrics_.cache_run = cache_.stats() - cache0;
   metrics_.prefix_run = prefix_stats_total() - prefix0;
+  if (reuse != nullptr) {
+    metrics_.incremental.seeded_prefixes = metrics_.prefix_run.reused;
+  }
   result.nc_options_key = PortCache::options_key(nc_options);
   result.tj_options_key = tj_ctx.tj_key;
-  result.prefixes = last_prefix_cache_;
+  result.prefixes = tj_ctx.pcache->snapshot();
   result.metrics = metrics();
   return result;
 }
@@ -776,12 +791,7 @@ StreamSummary AnalysisEngine::run_streaming(
     const StreamSink& sink, const netcalc::Options& nc_options,
     const trajectory::Options& tj_options, const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_streaming", "engine");
-  const Network& net = cfg_.network();
   const std::vector<VlPath>& paths = cfg_.all_paths();
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
 
   const auto t0 = Clock::now();
   const Microseconds cpu0 = cpu_now_us();
@@ -790,121 +800,36 @@ StreamSummary AnalysisEngine::run_streaming(
 
   // Contained WCNC pass: per-port state, O(ports) not O(paths).
   std::vector<PortOutcome> nc_ports;
+  netcalc::DelayTable delays(cfg_);
   const netcalc::Result nc_result =
-      run_netcalc_contained(nc_options, control, nc_ports);
+      run_netcalc_contained(nc_options, control, nc_ports, delays, nullptr);
   const auto t1 = Clock::now();
 
   const TrajectoryContext ctx =
       resolve_trajectory_context(tj_options, &nc_result, &nc_ports);
-  const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  // Streaming runs are always full runs: discard incremental leftovers.
-  pending_prefix_seeds_.clear();
-  pending_path_transplants_.clear();
-  last_prefix_cache_ = pcache;
-
-  std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    vl_paths[paths[i].vl].push_back(i);
-  }
-  const std::vector<VlId>& order_all = locality_vl_order();
-  std::vector<VlId> vl_order;
-  vl_order.reserve(order_all.size());
-  for (VlId v : order_all) {
-    if (!vl_paths[v].empty()) vl_order.push_back(v);
-  }
-
-  struct Shard {
-    std::optional<trajectory::Analyzer> analyzer;
-    std::string construct_error;
-    bool alive = false;
-    bool initialized = false;
-    std::size_t vls = 0;
-    std::size_t paths_done = 0;
-  };
-  std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  const auto fresh = [&](Shard& shard) {
-    try {
-      shard.analyzer.emplace(cfg_, ctx.options);
-      if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-      shard.analyzer->set_prefix_cache(pcache.get());
-      shard.alive = true;
-    } catch (const std::exception& e) {
-      shard.construct_error = e.what();
-      shard.alive = false;
-    }
-  };
+  std::vector<std::size_t> every_path(paths.size());
+  for (std::size_t i = 0; i < every_path.size(); ++i) every_path[i] = i;
 
   StreamSummary summary;
   std::mutex sink_mu;
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
-    Shard& shard = local[static_cast<std::size_t>(w)];
-    if (!shard.initialized) {
-      shard.initialized = true;
-      fresh(shard);
-    }
-    ++shard.vls;
-    for (std::size_t i : vl_paths[vl_order[k]]) {
-      const VlPath& p = paths[i];
-      StreamPathResult r;
-      r.path_index = i;
-      r.vl = p.vl;
-      r.dest_index = p.dest_index;
+  run_trajectory_contained(
+      ctx, control, every_path,
+      [&](std::size_t i, Microseconds tj_bound, const PathStatus& tj_status) {
+        const VlPath& p = paths[i];
+        StreamPathResult r;
+        r.path_index = i;
+        r.vl = p.vl;
+        r.dest_index = p.dest_index;
+        // Per-path WCNC assembly and combine, same contract as
+        // run_resilient.
+        PathStatus nc_status;
+        r.netcalc = wcnc_path_bound(cfg_, p, nc_ports, delays, nc_status);
+        r.trajectory = tj_bound;
+        r.combined = std::min(r.netcalc, r.trajectory);
+        PathStatus status = combined_status(nc_status, tj_status, r.combined);
+        r.state = status.state;
+        r.message = std::move(status.message);
 
-      // Per-path WCNC assembly, same contract as run_resilient: a path is
-      // only as good as every port it crosses.
-      const std::uint8_t level = cfg_.vl(p.vl).priority;
-      PathStatus nc_status;
-      Microseconds nc_total = 0.0;
-      for (LinkId l : p.links) {
-        if (nc_ports[l].state != PathState::kOk) {
-          nc_status = PathStatus{
-              nc_ports[l].state,
-              "wcnc: port " + port_name(l) + " " +
-                  std::string(to_string(nc_ports[l].state)) +
-                  (nc_ports[l].message.empty() ? ""
-                                               : ": " + nc_ports[l].message)};
-          nc_total = kInf;
-          break;
-        }
-        const auto& delays = nc_result.ports[l].level_delays;
-        const auto it = delays.find(level);
-        AFDX_ASSERT(it != delays.end(), "engine: missing level delay");
-        nc_total += it->second;
-      }
-      r.netcalc = nc_total;
-
-      PathStatus tj_status;
-      r.trajectory = kInf;
-      if (control.cancel != nullptr && control.cancel->expired()) {
-        tj_status = PathStatus{PathState::kSkipped, control.cancel->reason()};
-      } else if (!shard.alive) {
-        tj_status = PathStatus{PathState::kFailed, shard.construct_error};
-      } else {
-        try {
-          r.trajectory = shard.analyzer->bound_to_link(p.vl, p.links.back());
-          ++shard.paths_done;
-        } catch (const std::exception& e) {
-          tj_status = PathStatus{PathState::kFailed, e.what()};
-        }
-      }
-
-      r.combined = std::min(r.netcalc, r.trajectory);
-      std::string message = nc_status.message;
-      if (!tj_status.ok()) {
-        if (!message.empty()) message += "; ";
-        message += "trajectory " + std::string(to_string(tj_status.state)) +
-                   ": " + tj_status.message;
-      }
-      if (std::isfinite(r.combined)) {
-        r.state = PathState::kOk;
-      } else {
-        const bool failed = nc_status.state == PathState::kFailed ||
-                            tj_status.state == PathState::kFailed;
-        r.state = failed ? PathState::kFailed : PathState::kSkipped;
-      }
-      r.message = std::move(message);
-
-      {
         std::lock_guard<std::mutex> lock(sink_mu);
         ++summary.paths;
         switch (r.state) {
@@ -925,22 +850,12 @@ StreamSummary AnalysisEngine::run_streaming(
             break;
         }
         if (sink) sink(r);
-      }
-    }
-  });
+      });
   const auto t2 = Clock::now();
 
   // Per-shard cache effectiveness plus the run's overall cache deltas --
   // the summary carries them so a streaming caller can observe reuse
   // (e.g. a warm second run) without reaching into engine metrics.
-  metrics_.shards.clear();
-  for (const Shard& shard : local) {
-    if (!shard.analyzer.has_value()) continue;
-    const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
-    metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
-                                           c.lookups, c.local_hits,
-                                           c.shared_hits});
-  }
   summary.shards = metrics_.shards;
   summary.port_cache = cache_.stats() - cache0;
   summary.prefix_cache = prefix_stats_total() - prefix0;
@@ -978,13 +893,10 @@ RunResult AnalysisEngine::run_incremental(const TrafficConfig& baseline_config,
     inc.full_fallback = true;
     inc.fallback_reason = std::move(reason);
     metrics_.incremental = inc;
-    pending_prefix_seeds_.clear();
-    pending_path_transplants_.clear();
     return run_resilient(nc_options, tj_options, control);
   };
 
-  const std::uint64_t okey = PortCache::options_key(nc_options);
-  if (baseline.nc_options_key != okey) {
+  if (baseline.nc_options_key != PortCache::options_key(nc_options)) {
     return fallback("baseline was computed under different WCNC options");
   }
   if (baseline.netcalc_result.ports.size() !=
@@ -992,110 +904,77 @@ RunResult AnalysisEngine::run_incremental(const TrafficConfig& baseline_config,
     return fallback("baseline result does not match the baseline "
                     "configuration");
   }
+  // A cyclic WCNC fixed point is global: every port's converged value
+  // depends on the round count of the whole iteration.
+  if (!cfg_.feed_forward() || !baseline_config.feed_forward()) {
+    return fallback("cyclic configuration");
+  }
   const IncrementalPlan plan =
       plan_incremental(baseline_config, cfg_, changed_links);
   if (!plan.compatible) return fallback(plan.reason);
-  inc.dirty_ports = plan.dirty_ports.size();
-
-  // Transplant the WCNC bounds of every clean port the baseline actually
-  // computed, and drop whatever this engine may still cache for the dirty
-  // ones (defensive: entries of this engine are valid for its own fixed
-  // configuration, but a prior seed from another baseline might not be).
+  // Clean ports are taken from the baseline verbatim, so its WCNC phase
+  // must have bounded every one of them.
   for (LinkId l : plan.clean_ports) {
-    const netcalc::PortReport& r = baseline.netcalc_result.ports[l];
-    if (!r.used) continue;
-    cache_.seed(okey, l,
-                netcalc::PortBounds{r.level_delays, r.backlog,
-                                    r.queue_backlog});
-    ++inc.seeded_ports;
-  }
-  cache_.evict(okey, plan.dirty_ports);
-
-  // Transplant trajectory prefixes whose whole upstream chain is clean --
-  // only from a baseline computed under the same trajectory options whose
-  // WCNC phase completed (otherwise its serialization caps, and therefore
-  // its prefixes, may not match what this run will derive).
-  pending_prefix_seeds_.clear();
-  bool baseline_complete =
-      baseline.prefixes != nullptr &&
-      baseline.tj_options_key == trajectory_options_key(tj_options);
-  if (baseline_complete) {
-    const std::size_t bn = baseline_config.network().link_count();
-    for (LinkId l = 0; l < bn; ++l) {
-      if (!baseline_config.vls_on_link(l).empty() &&
-          !baseline.netcalc_result.ports[l].used) {
-        baseline_complete = false;
-        break;
-      }
+    if (!baseline.netcalc_result.ports[l].used) {
+      return fallback("baseline has no WCNC bound for a clean port");
     }
   }
-  if (baseline_complete) {
-    for (VlId v = 0; v < cfg_.vl_count(); ++v) {
-      const VlId bv = plan.base_vl[v];
-      if (bv == kInvalidVl) continue;
-      const VlRoute& route = cfg_.route(v);
-      for (LinkId l : route.crossed_links()) {
-        bool chain_clean = true;
-        for (LinkId cur = l; cur != kInvalidLink;
-             cur = route.predecessor(cur)) {
-          if (plan.dirty[cur]) {
-            chain_clean = false;
+  inc.dirty_ports = plan.dirty_ports.size();
+  inc.seeded_ports = plan.clean_ports.size();
+
+  Reuse reuse;
+  reuse.baseline = &baseline;
+  reuse.plan = &plan;
+  // Trajectory reuse needs a baseline computed under the same trajectory
+  // options: its prefixes at clean ports then read bit-identical inputs
+  // (the serialization caps of clean ports are the baseline's too).
+  const bool same_tj =
+      baseline.prefixes != nullptr &&
+      baseline.tj_options_key == trajectory_options_key(tj_options);
+  if (same_tj) {
+    reuse.layer = trajectory::PrefixLayer{baseline.prefixes, plan.base_vl,
+                                          plan.dirty};
+  }
+
+  // Whole-path transplants: a path is clean exactly when its last port is
+  // (the cone is closed downstream), and a clean path reads bit-identical
+  // inputs end to end, so its baseline trajectory bound is carried over
+  // and the trajectory phase skips it. Only finite bounds (a failed path
+  // re-runs so its status is re-derived) of a baseline whose per-path
+  // vector lines up with its configuration.
+  const std::vector<VlPath>& cpaths = cfg_.all_paths();
+  const std::vector<VlPath>& bpaths = baseline_config.all_paths();
+  const bool shared = cfg_.shares_layout(baseline_config);
+  const bool transplant = same_tj && baseline.trajectory.size() == bpaths.size();
+  reuse.trajectory.assign(cpaths.size(), kInf);
+  for (std::size_t i = 0; i < cpaths.size(); ++i) {
+    const VlPath& p = cpaths[i];
+    const VlId bv = plan.base_vl[p.vl];
+    std::size_t b = bpaths.size();
+    if (transplant && bv != kInvalidVl && !plan.dirty[p.links.back()]) {
+      if (shared) {
+        b = i;
+      } else {
+        // The baseline path of the same VL to the same terminal port, if
+        // it took the same route.
+        for (std::size_t k = baseline_config.first_path(bv);
+             k < baseline_config.first_path(bv + 1); ++k) {
+          if (bpaths[k].links.back() == p.links.back()) {
+            if (bpaths[k].links == p.links) b = k;
             break;
           }
         }
-        if (!chain_clean) continue;
-        if (const auto bound = baseline.prefixes->peek(bv, l);
-            bound.has_value()) {
-          pending_prefix_seeds_.push_back(PrefixSeed{v, l, *bound});
-        }
       }
     }
-  }
-  inc.seeded_prefixes = pending_prefix_seeds_.size();
-
-  // Whole-path transplants: a path whose every crossed port is clean reads
-  // bit-identical inputs end to end (the dirty closure already propagated
-  // any upstream change of any competing VL into its ports), so its final
-  // trajectory bound is carried over and the trajectory phase skips it.
-  // Only from a complete baseline whose per-path vectors line up, and only
-  // finite bounds (a failed path re-runs so its status is re-derived).
-  pending_path_transplants_.clear();
-  const std::vector<VlPath>& bpaths = baseline_config.all_paths();
-  if (baseline_complete && baseline.trajectory.size() == bpaths.size()) {
-    // Baseline path index by (baseline VL, terminal link).
-    std::unordered_map<std::uint64_t, std::size_t> base_path;
-    base_path.reserve(bpaths.size());
-    const auto path_key = [n = baseline_config.network().link_count()](
-                              VlId v, LinkId last) {
-      return static_cast<std::uint64_t>(v) * n + last;
-    };
-    for (std::size_t i = 0; i < bpaths.size(); ++i) {
-      base_path.emplace(path_key(bpaths[i].vl, bpaths[i].links.back()), i);
-    }
-    const std::vector<VlPath>& cpaths = cfg_.all_paths();
-    for (std::size_t i = 0; i < cpaths.size(); ++i) {
-      const VlPath& p = cpaths[i];
-      const VlId bv = plan.base_vl[p.vl];
-      if (bv == kInvalidVl) continue;
-      bool clean = true;
-      for (LinkId l : p.links) {
-        if (plan.dirty[l]) {
-          clean = false;
-          break;
-        }
-      }
-      if (!clean) continue;
-      const auto it = base_path.find(path_key(bv, p.links.back()));
-      if (it == base_path.end()) continue;
-      if (bpaths[it->second].links != p.links) continue;
-      const Microseconds bound = baseline.trajectory[it->second];
-      if (!std::isfinite(bound)) continue;
-      pending_path_transplants_.push_back(PathTransplant{i, bound});
+    if (b < bpaths.size() && std::isfinite(baseline.trajectory[b])) {
+      reuse.trajectory[i] = baseline.trajectory[b];
+      ++inc.transplanted_paths;
+    } else {
+      reuse.paths.push_back(i);
     }
   }
-  inc.transplanted_paths = pending_path_transplants_.size();
   metrics_.incremental = inc;
-  return run_resilient(nc_options, tj_options, control);
+  return run_resilient_with(nc_options, tj_options, control, &reuse);
 }
 
 netcalc::Result AnalysisEngine::netcalc_only(
@@ -1146,7 +1025,7 @@ trajectory::PrefixCacheStats AnalysisEngine::prefix_stats_total() const {
     const trajectory::PrefixCacheStats s = cache->stats();
     total.hits += s.hits;
     total.misses += s.misses;
-    total.seeded += s.seeded;
+    total.reused += s.reused;
   }
   return total;
 }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "engine/cancel.hpp"
+#include "engine/incremental.hpp"
 #include "engine/port_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
@@ -64,9 +65,10 @@ struct IncrementalStats {
   std::size_t changed_links = 0;
   /// Used ports inside the dirty cone (recomputed).
   std::size_t dirty_ports = 0;
-  /// Clean used ports transplanted from the baseline.
+  /// Clean used ports whose baseline bounds were reused verbatim.
   std::size_t seeded_ports = 0;
-  /// Baseline trajectory prefixes transplanted into the shared cache.
+  /// Baseline trajectory prefixes the cone's recursion read from the
+  /// baseline's frozen table (clean prefixes it needed; none is copied).
   std::size_t seeded_prefixes = 0;
   /// Paths fully outside the dirty cone whose trajectory bound was
   /// transplanted verbatim from the baseline (no recomputation at all).
@@ -106,8 +108,9 @@ struct RunMetrics {
   /// Process CPU time across all workers (>= wall time when the pool is
   /// busy); wall vs cpu exposes how much of the run actually parallelized.
   Microseconds total_cpu_us = 0.0;
-  /// Propagation levels of the last WCNC pass (0 for cyclic fallback) and
-  /// the widest level -- the parallelism ceiling of the netcalc phase.
+  /// Propagation levels of the ports the last WCNC pass computed (0 for
+  /// the cyclic fallback; an incremental run counts its dirty cone only)
+  /// and the widest level -- the parallelism ceiling of the netcalc phase.
   std::size_t levels = 0;
   std::size_t max_level_width = 0;
   /// VL paths bounded by the most recent run/netcalc_only/trajectory_only.
@@ -185,9 +188,10 @@ struct RunResult {
   /// validates a baseline against these before transplanting results.
   std::uint64_t nc_options_key = 0;
   std::uint64_t tj_options_key = 0;
-  /// The shared prefix cache the trajectory phase used (null when the
-  /// phase never ran); run_incremental reads baseline prefixes from here.
-  std::shared_ptr<const trajectory::PrefixCache> prefixes;
+  /// The prefix bounds the trajectory phase computed, frozen (null when
+  /// the phase never ran); run_incremental reads baseline prefixes from
+  /// here without locking.
+  std::shared_ptr<const trajectory::PrefixTable> prefixes;
   /// Snapshot of the engine metrics at the end of the run.
   RunMetrics metrics;
 
@@ -284,12 +288,15 @@ class AnalysisEngine {
   /// Incremental re-analysis against a prior run of a configuration that
   /// shares this engine's network: only ports inside the dirty cone of
   /// `changed_links` (plus every port whose crossing-VL set changed, and
-  /// everything downstream) are recomputed; the bounds of clean ports and
-  /// the trajectory prefixes whose whole upstream chain is clean are
-  /// transplanted from `baseline`. Bit-identical to run_resilient by
-  /// construction -- when the baseline cannot be validated (different
-  /// options, different network, ...) it silently falls back to a full
-  /// run_resilient and records the reason in metrics().incremental.
+  /// everything downstream) are recomputed, and only the paths ending in
+  /// it; clean ports, clean paths and the clean trajectory prefixes the
+  /// cone's recursion reads come from `baseline`. When the configuration
+  /// shares the baseline's layout (an OverlaySession overlay), no step
+  /// walks the whole network with more than a flat O(1) test per element.
+  /// Bit-identical to run_resilient by construction -- when the baseline
+  /// cannot be validated (different options, different network, cyclic
+  /// configuration, ...) it silently falls back to a full run_resilient
+  /// and records the reason in metrics().incremental.
   [[nodiscard]] RunResult run_incremental(
       const TrafficConfig& baseline_config, const RunResult& baseline,
       const std::vector<LinkId>& changed_links,
@@ -336,6 +343,26 @@ class AnalysisEngine {
     std::shared_ptr<trajectory::PrefixCache> pcache;
   };
 
+  /// What an incremental run takes from its baseline instead of computing
+  /// it (run_incremental fills it; a full run passes none).
+  struct Reuse {
+    const RunResult* baseline = nullptr;
+    /// Dirty and clean ports; the WCNC phase computes the dirty ones.
+    const IncrementalPlan* plan = nullptr;
+    /// Paths the trajectory phase computes, ascending.
+    std::vector<std::size_t> paths;
+    /// Per path: the carried-over baseline bound (entries of `paths` are
+    /// overwritten by the phase).
+    std::vector<Microseconds> trajectory;
+    /// The baseline's prefix table, when its trajectory options match.
+    std::optional<trajectory::PrefixLayer> layer;
+  };
+
+  /// Per-path completion callback of the trajectory phase: (path index,
+  /// bound, status). Called concurrently from worker threads.
+  using PathCallback =
+      std::function<void(std::size_t, Microseconds, const PathStatus&)>;
+
   /// Builds the context. With nc_result == nullptr the caps come from an
   /// internal default-options WCNC run (served by the port cache), exactly
   /// like the legacy per-analyzer envelope analysis; otherwise from the
@@ -345,22 +372,40 @@ class AnalysisEngine {
       const trajectory::Options& options, const netcalc::Result* nc_result,
       const std::vector<PortOutcome>* nc_ports);
 
-  /// Topology-aware VL schedule of the trajectory phase: VLs sorted
-  /// lexicographically by their first path's link sequence (ties by id),
-  /// so VLs sharing source ports / route prefixes sit in the same
-  /// contiguous chunk and land on the same worker. Pure function of the
-  /// configuration; built once per engine.
-  [[nodiscard]] const std::vector<VlId>& locality_vl_order();
+  /// Topology-aware schedule of the trajectory phase over `paths`
+  /// (ascending path indices): one work item per VL, holding that VL's
+  /// paths, ordered lexicographically by the VL's first route (ties by
+  /// id), so VLs sharing source ports / route prefixes sit in the same
+  /// contiguous chunk and land on the same worker.
+  struct VlWork {
+    VlId vl = kInvalidVl;
+    std::size_t begin = 0;  ///< [begin, end) into `paths`
+    std::size_t end = 0;
+  };
+  [[nodiscard]] std::vector<VlWork> locality_work(
+      const std::vector<std::size_t>& paths) const;
 
   [[nodiscard]] netcalc::Result run_netcalc(const netcalc::Options& options);
   [[nodiscard]] std::vector<Microseconds> run_trajectory(
       const TrajectoryContext& ctx);
+  /// The contained WCNC phase: computes every used port, or with `reuse`
+  /// only the dirty ones (the clean ones are copied from the baseline),
+  /// level by level. Fills `ports` and `delays` for every used port.
   [[nodiscard]] netcalc::Result run_netcalc_contained(
       const netcalc::Options& options, const RunControl& control,
-      std::vector<PortOutcome>& ports);
-  [[nodiscard]] std::vector<Microseconds> run_trajectory_contained(
-      const TrajectoryContext& ctx, const RunControl& control,
-      std::vector<PathStatus>& path_status);
+      std::vector<PortOutcome>& ports, netcalc::DelayTable& delays,
+      const Reuse* reuse);
+  /// The contained trajectory phase over a set of paths (ascending path
+  /// indices); every path's outcome goes to `on_path`.
+  void run_trajectory_contained(const TrajectoryContext& ctx,
+                                const RunControl& control,
+                                const std::vector<std::size_t>& paths,
+                                const PathCallback& on_path);
+  /// run_resilient, optionally reusing a baseline (run_incremental).
+  [[nodiscard]] RunResult run_resilient_with(
+      const netcalc::Options& nc_options,
+      const trajectory::Options& tj_options, const RunControl& control,
+      const Reuse* reuse);
 
   /// The once-built flat flow index of this engine's configuration.
   const netcalc::PortFlowIndex& flow_index();
@@ -372,23 +417,6 @@ class AnalysisEngine {
   /// Sum of the stats of every prefix cache of this engine.
   [[nodiscard]] trajectory::PrefixCacheStats prefix_stats_total() const;
 
-  /// One baseline prefix bound queued for transplantation by the next
-  /// trajectory phase (run_incremental fills the list; the phase applies
-  /// it to the resolved cache once, then clears it).
-  struct PrefixSeed {
-    VlId vl = kInvalidVl;
-    LinkId link = kInvalidLink;
-    Microseconds bound = 0.0;
-  };
-
-  /// One clean path whose trajectory bound run_incremental transplants
-  /// verbatim: the next trajectory phase writes `trajectory` for the path
-  /// and skips its recursion entirely.
-  struct PathTransplant {
-    std::size_t path = 0;
-    Microseconds trajectory = 0.0;
-  };
-
   const TrafficConfig& cfg_;
   ThreadPool pool_;
   PortCache cache_;
@@ -396,14 +424,8 @@ class AnalysisEngine {
   /// bypass the per-port cache path but still memoize their round count).
   std::unordered_map<std::uint64_t, int> iterations_;
   std::optional<netcalc::PortFlowIndex> flow_index_;
-  /// Cached locality_vl_order() result (pure function of cfg_).
-  std::optional<std::vector<VlId>> locality_order_;
   std::unordered_map<std::uint64_t, std::shared_ptr<trajectory::PrefixCache>>
       prefix_caches_;
-  /// The cache used by the most recent trajectory phase.
-  std::shared_ptr<trajectory::PrefixCache> last_prefix_cache_;
-  std::vector<PrefixSeed> pending_prefix_seeds_;
-  std::vector<PathTransplant> pending_path_transplants_;
   RunMetrics metrics_;
 };
 

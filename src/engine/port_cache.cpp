@@ -32,29 +32,6 @@ void PortCache::store(std::uint64_t options_key, LinkId port,
   depth.record_max(entries_.size());
 }
 
-void PortCache::seed(std::uint64_t options_key, LinkId port,
-                     const netcalc::PortBounds& bounds) {
-  static obs::Counter& seeded =
-      obs::registry().counter("engine.cache.seeded");
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[Key{options_key, port}] = bounds;
-  ++seeded_;
-  seeded.add();
-}
-
-void PortCache::evict(std::uint64_t options_key,
-                      const std::vector<LinkId>& ports) {
-  static obs::Counter& evictions =
-      obs::registry().counter("engine.cache.evictions");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (LinkId port : ports) {
-    if (entries_.erase(Key{options_key, port}) > 0) {
-      ++evicted_;
-      evictions.add();
-    }
-  }
-}
-
 bool PortCache::covers(std::uint64_t options_key,
                        const std::vector<LinkId>& ports) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -71,7 +48,7 @@ std::size_t PortCache::size() const {
 
 CacheStats PortCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return CacheStats{hits_, misses_, seeded_, evicted_};
+  return CacheStats{hits_, misses_};
 }
 
 void PortCache::clear() {

@@ -25,10 +25,6 @@ namespace afdx::engine {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Baseline entries transplanted by incremental re-analysis (seed()).
-  std::uint64_t seeded = 0;
-  /// Entries dropped because their port turned dirty (evict()).
-  std::uint64_t evicted = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
@@ -40,8 +36,7 @@ struct CacheStats {
 /// Counter delta between two snapshots (later minus earlier) -- per-run
 /// activity out of the engine's cumulative statistics.
 inline CacheStats operator-(const CacheStats& now, const CacheStats& then) {
-  return CacheStats{now.hits - then.hits, now.misses - then.misses,
-                    now.seeded - then.seeded, now.evicted - then.evicted};
+  return CacheStats{now.hits - then.hits, now.misses - then.misses};
 }
 
 // Tripwire: options_key() below must fingerprint EVERY field of
@@ -89,16 +84,6 @@ class PortCache {
   [[nodiscard]] bool covers(std::uint64_t options_key,
                             const std::vector<LinkId>& ports) const;
 
-  /// Inserts or overwrites (options, port) with a transplanted baseline
-  /// value and counts it as seeded -- incremental re-analysis uses this to
-  /// pre-load the bounds of ports outside the dirty cone. Thread-safe.
-  void seed(std::uint64_t options_key, LinkId port,
-            const netcalc::PortBounds& bounds);
-
-  /// Drops the listed ports under `options_key` (existing entries only are
-  /// counted as evicted). Thread-safe.
-  void evict(std::uint64_t options_key, const std::vector<LinkId>& ports);
-
   [[nodiscard]] CacheStats stats() const;
   /// Distinct (options, port) entries currently stored. Thread-safe.
   [[nodiscard]] std::size_t size() const;
@@ -111,8 +96,6 @@ class PortCache {
   std::map<Key, netcalc::PortBounds> entries_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-  std::uint64_t seeded_ = 0;
-  std::uint64_t evicted_ = 0;
 };
 
 }  // namespace afdx::engine

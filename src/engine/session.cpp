@@ -12,6 +12,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Applies the set fields of one override to a VL.
+void apply(VirtualLink& vl, const VlOverride& o) {
+  if (o.bag) vl.bag = *o.bag;
+  if (o.s_min) vl.s_min = *o.s_min;
+  if (o.s_max) vl.s_max = *o.s_max;
+  if (o.max_release_jitter) vl.max_release_jitter = *o.max_release_jitter;
+  if (o.priority) vl.priority = *o.priority;
+}
+
 }  // namespace
 
 std::shared_ptr<const BaselineState> BaselineState::build(
@@ -46,17 +55,10 @@ void OverlaySession::override_vl(const VlOverride& override_) {
   // Validate the merged VL eagerly so a bad request fails here, with the
   // VL named, instead of deep inside TrafficConfig construction.
   VirtualLink merged = cfg.vl(*id);
-  const auto apply = [&merged](const VlOverride& o) {
-    if (o.bag) merged.bag = *o.bag;
-    if (o.s_min) merged.s_min = *o.s_min;
-    if (o.s_max) merged.s_max = *o.s_max;
-    if (o.max_release_jitter) merged.max_release_jitter = *o.max_release_jitter;
-    if (o.priority) merged.priority = *o.priority;
-  };
   for (const VlOverride& o : overrides_) {
-    if (o.vl == override_.vl) apply(o);
+    if (o.vl == override_.vl) apply(merged, o);
   }
-  apply(override_);
+  apply(merged, override_);
   merged.validate();
 
   for (VlOverride& o : overrides_) {
@@ -98,28 +100,18 @@ void OverlaySession::override_priority(const std::string& vl,
 TrafficConfig OverlaySession::materialize() const {
   AFDX_TRACE_SPAN("session.materialize", "engine");
   const TrafficConfig& base = baseline_->config();
-
-  std::vector<VirtualLink> vls;
-  vls.reserve(base.vl_count());
-  for (VlId v = 0; v < base.vl_count(); ++v) vls.push_back(base.vl(v));
+  std::vector<std::pair<VlId, VirtualLink>> edits;
+  edits.reserve(overrides_.size());
   for (const VlOverride& o : overrides_) {
     const VlId v = *base.find_vl(o.vl);  // validated in override_vl
-    if (o.bag) vls[v].bag = *o.bag;
-    if (o.s_min) vls[v].s_min = *o.s_min;
-    if (o.s_max) vls[v].s_max = *o.s_max;
-    if (o.max_release_jitter) vls[v].max_release_jitter = *o.max_release_jitter;
-    if (o.priority) vls[v].priority = *o.priority;
+    edits.emplace_back(v, base.vl(v));
+    apply(edits.back().second, o);
   }
-
-  // Baseline routes verbatim: link ids, trees and path order stay aligned
-  // with the baseline, which is what keeps plan_incremental's dirty cone
-  // minimal (only the overridden VLs' ports change their crossing tuples).
-  std::vector<std::vector<std::vector<LinkId>>> routes;
-  routes.reserve(base.vl_count());
-  for (VlId v = 0; v < base.vl_count(); ++v) {
-    routes.push_back(base.route(v).paths());
-  }
-  return TrafficConfig(base.network(), std::move(vls), std::move(routes));
+  // The baseline's layout is shared: link ids, routes, path order and
+  // every index built on them stay the baseline's, which is what lets
+  // plan_incremental diff VL parameters only and run_incremental read
+  // clean ports and paths by index.
+  return base.with_vl_parameters(edits);
 }
 
 RunResult OverlaySession::analyze(const RunControl& control) {

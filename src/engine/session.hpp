@@ -10,12 +10,13 @@
 //
 // An OverlaySession is the per-request counterpart: it accumulates VL
 // parameter overrides (BAG, frame sizes, priority, jitter) on top of the
-// baseline configuration, materializes the overlay TrafficConfig (baseline
-// network + mutated VLs + baseline routes, so link ids and routes stay
-// compatible with plan_incremental), and re-bounds only the dirty cone via
-// AnalysisEngine::run_incremental. Sessions own their private engine, so
-// N sessions on N threads share nothing mutable but the baseline's
-// internally synchronized caches:
+// baseline configuration, materializes the overlay TrafficConfig (the
+// baseline's shared layout -- network, routes, path and link indexes --
+// with the overridden VLs patched in, an O(VLs) copy), and re-bounds only
+// the dirty cone via AnalysisEngine::run_incremental, reading clean ports,
+// paths and prefixes from the baseline's result. Sessions own their
+// private engine, so N sessions on N threads share nothing mutable; the
+// baseline and its frozen prefix table are read without locking:
 //
 //   auto base = BaselineState::build(config);          // once, warm
 //   OverlaySession s(base);                            // per request
@@ -41,9 +42,10 @@
 namespace afdx::engine {
 
 /// One immutable warm baseline: configuration + options + healthy bounds +
-/// the cache state needed to seed incremental re-runs. Thread-safe for
-/// concurrent readers (all mutable state inside the carried RunResult's
-/// prefix cache is internally synchronized).
+/// the frozen prefix table incremental re-runs read from. Every index a
+/// what-if needs (routes, path and link indexes, the port dependency
+/// graph, the VL name index) is built once, in the configuration's shared
+/// layout. Immutable, so thread-safe for concurrent readers.
 class BaselineState {
  public:
   /// Runs the full (resilient) analysis once and pins the result. The
@@ -126,9 +128,9 @@ class OverlaySession {
     return overrides_.size();
   }
 
-  /// The overlay configuration: baseline network + overridden VLs +
-  /// baseline routes. Validates like any TrafficConfig (throws on an
-  /// overlay that breaks a contract invariant).
+  /// The overlay configuration: the baseline's layout (network, routes,
+  /// indexes) shared, the overridden VLs patched in. Costs O(VLs); the
+  /// overrides were validated when registered.
   [[nodiscard]] TrafficConfig materialize() const;
 
   /// Incremental re-analysis of the materialized overlay against the

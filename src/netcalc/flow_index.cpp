@@ -45,11 +45,17 @@ void DelayTable::clear_row(LinkId port) {
 }
 
 PortFlowIndex build_port_flow_index(const TrafficConfig& config) {
-  PortFlowIndex index;
-  const std::size_t n_links = config.network().link_count();
-  index.ports.resize(n_links);
+  std::vector<LinkId> ports(config.network().link_count());
+  for (LinkId l = 0; l < ports.size(); ++l) ports[l] = l;
+  return build_port_flow_index(config, ports);
+}
 
-  for (LinkId port = 0; port < n_links; ++port) {
+PortFlowIndex build_port_flow_index(const TrafficConfig& config,
+                                    const std::vector<LinkId>& ports) {
+  PortFlowIndex index;
+  index.ports.resize(config.network().link_count());
+
+  for (LinkId port : ports) {
     PortFlowIndex::Port& p = index.ports[port];
     p.class_begin = static_cast<std::uint32_t>(index.classes.size());
 

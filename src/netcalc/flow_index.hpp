@@ -103,4 +103,9 @@ struct PortFlowIndex {
 
 [[nodiscard]] PortFlowIndex build_port_flow_index(const TrafficConfig& config);
 
+/// The same index with rows for `ports` only (the rows of every other port
+/// stay empty) -- what an incremental run needs for its dirty cone.
+[[nodiscard]] PortFlowIndex build_port_flow_index(
+    const TrafficConfig& config, const std::vector<LinkId>& ports);
+
 }  // namespace afdx::netcalc

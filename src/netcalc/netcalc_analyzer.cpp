@@ -252,25 +252,26 @@ PortBounds compute_port_bounds(const TrafficConfig& config, LinkId port,
 
 std::optional<std::vector<std::vector<LinkId>>> propagation_levels(
     const TrafficConfig& config) {
-  const std::size_t n = config.network().link_count();
   std::vector<LinkId> used_ports;
-  for (LinkId l = 0; l < n; ++l) {
+  for (LinkId l = 0; l < config.network().link_count(); ++l) {
     if (!config.vls_on_link(l).empty()) used_ports.push_back(l);
   }
+  return propagation_levels(config, used_ports);
+}
 
-  std::vector<std::vector<LinkId>> successors(n);
-  std::vector<int> in_degree(n, 0);
-  for (LinkId port : used_ports) {
-    for (VlId v : config.vls_on_link(port)) {
-      const LinkId pred = config.route(v).predecessor(port);
-      if (pred != kInvalidLink) {
-        successors[pred].push_back(port);
-        ++in_degree[port];
-      }
+std::optional<std::vector<std::vector<LinkId>>> propagation_levels(
+    const TrafficConfig& config, const std::vector<LinkId>& ports) {
+  // In-degree within the port set; -1 marks ports outside it, whose
+  // bounds are given, so edges from them impose no order.
+  std::vector<int> in_degree(config.network().link_count(), -1);
+  for (LinkId port : ports) in_degree[port] = 0;
+  for (LinkId port : ports) {
+    for (LinkId s : config.next_ports(port)) {
+      if (in_degree[s] >= 0) ++in_degree[s];
     }
   }
   std::vector<LinkId> level;
-  for (LinkId port : used_ports) {
+  for (LinkId port : ports) {
     if (in_degree[port] == 0) level.push_back(port);
   }
   std::vector<std::vector<LinkId>> levels;
@@ -279,17 +280,16 @@ std::optional<std::vector<std::vector<LinkId>>> propagation_levels(
     placed += level.size();
     std::vector<LinkId> next;
     for (LinkId p : level) {
-      for (LinkId s : successors[p]) {
-        if (--in_degree[s] == 0) next.push_back(s);
+      for (LinkId s : config.next_ports(p)) {
+        if (in_degree[s] > 0 && --in_degree[s] == 0) next.push_back(s);
       }
     }
-    // A VL can cross several predecessors of the same port, so `next`
-    // accumulates in route-discovery order; keep levels stable.
+    // Ports join the next level in discovery order; keep levels stable.
     std::sort(next.begin(), next.end());
     levels.push_back(std::move(level));
     level = std::move(next);
   }
-  if (placed != used_ports.size()) return std::nullopt;
+  if (placed != ports.size()) return std::nullopt;
   return levels;
 }
 

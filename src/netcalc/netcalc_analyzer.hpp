@@ -122,6 +122,14 @@ struct PortBounds {
 [[nodiscard]] std::optional<std::vector<std::vector<LinkId>>>
 propagation_levels(const TrafficConfig& config);
 
+/// The same levels for a subset of the used ports (ascending), e.g. the
+/// dirty cone of an incremental run: the bounds of every port outside the
+/// set are taken as given, so only edges inside the set order the levels.
+/// Returns nullopt when the set contains a dependency cycle.
+[[nodiscard]] std::optional<std::vector<std::vector<LinkId>>>
+propagation_levels(const TrafficConfig& config,
+                   const std::vector<LinkId>& ports);
+
 /// Sums the converged per-port per-class delays along every path of the
 /// configuration (the final assembly step of the analysis), aligned with
 /// TrafficConfig::all_paths().

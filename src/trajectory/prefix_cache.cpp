@@ -11,37 +11,42 @@ std::optional<Microseconds> PrefixCache::lookup(VlId vl, LinkId link) {
       obs::registry().counter("trajectory.prefix_cache.hits");
   static obs::Counter& misses =
       obs::registry().counter("trajectory.prefix_cache.misses");
+  static obs::Counter& reused =
+      obs::registry().counter("trajectory.prefix_cache.reused");
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key(vl, link));
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    misses.add();
-    return std::nullopt;
+  if (const Microseconds* hit = entries_.find(prefix_key(vl, link))) {
+    ++stats_.hits;
+    hits.add();
+    return *hit;
   }
-  ++stats_.hits;
-  hits.add();
-  return it->second;
+  if (layer_.has_value() && !layer_->stale[link] &&
+      layer_->base_vl[vl] != kInvalidVl) {
+    if (const auto base = layer_->table->find(layer_->base_vl[vl], link)) {
+      ++stats_.hits;
+      ++stats_.reused;
+      hits.add();
+      reused.add();
+      return base;
+    }
+  }
+  ++stats_.misses;
+  misses.add();
+  return std::nullopt;
 }
 
 void PrefixCache::store(VlId vl, LinkId link, Microseconds bound) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(key(vl, link), bound);
+  const std::uint64_t key = prefix_key(vl, link);
+  if (entries_.find(key) == nullptr) entries_.emplace(key, bound);
 }
 
-void PrefixCache::seed(VlId vl, LinkId link, Microseconds bound) {
-  static obs::Counter& seeded =
-      obs::registry().counter("trajectory.prefix_cache.seeded");
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[key(vl, link)] = bound;
-  ++stats_.seeded;
-  seeded.add();
-}
+void PrefixCache::set_layer(PrefixLayer layer) { layer_ = std::move(layer); }
 
-std::optional<Microseconds> PrefixCache::peek(VlId vl, LinkId link) const {
+std::shared_ptr<const PrefixTable> PrefixCache::snapshot() const {
+  auto table = std::make_shared<PrefixTable>();
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key(vl, link));
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  table->entries_ = entries_;
+  return table;
 }
 
 PrefixCacheStats PrefixCache::stats() const {

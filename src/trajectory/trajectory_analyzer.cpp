@@ -156,23 +156,25 @@ Microseconds Analyzer::min_arrival_at(VlId vl, LinkId link) const {
   return acc;
 }
 
-const std::vector<std::vector<Analyzer::FlowAtLink>>& Analyzer::flow_table() {
-  if (!flows_.has_value()) {
-    const Network& net = cfg_.network();
-    flows_.emplace(net.link_count());
-    for (LinkId l = 0; l < net.link_count(); ++l) {
-      const std::vector<VlId>& crossing = cfg_.vls_on_link(l);
-      std::vector<FlowAtLink>& out = (*flows_)[l];
-      out.reserve(crossing.size());
-      for (VlId j : crossing) {
-        const VirtualLink& v = cfg_.vl(j);
-        out.push_back(FlowAtLink{j, cfg_.route(j).predecessor(l),
-                                 v.max_transmission_time(net.link(l).rate),
-                                 v.bag, v.max_release_jitter});
-      }
-    }
+const std::vector<Analyzer::FlowAtLink>& Analyzer::flows_at(LinkId l) {
+  const Network& net = cfg_.network();
+  if (flows_.empty()) {
+    flows_.resize(net.link_count());
+    flows_ready_.assign(net.link_count(), 0);
   }
-  return *flows_;
+  std::vector<FlowAtLink>& out = flows_[l];
+  if (!flows_ready_[l]) {
+    const std::vector<VlId>& crossing = cfg_.vls_on_link(l);
+    out.reserve(crossing.size());
+    for (VlId j : crossing) {
+      const VirtualLink& v = cfg_.vl(j);
+      out.push_back(FlowAtLink{j, cfg_.route(j).predecessor(l),
+                               v.max_transmission_time(net.link(l).rate),
+                               v.bag, v.max_release_jitter});
+    }
+    flows_ready_[l] = 1;
+  }
+  return out;
 }
 
 Microseconds Analyzer::max_arrival_at(VlId vl, LinkId link) {
@@ -266,8 +268,11 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
 
   // Per-link precomputed flow rows (predecessor, C_j, BAG, jitter) -- the
   // segment-construction loop below is the analyzer's second-hottest spot
-  // after response(), and route/hash lookups dominated it.
-  const std::vector<std::vector<FlowAtLink>>& flows = flow_table();
+  // after response(), and route/hash lookups dominated it. Rows are built
+  // on first use (here, before the recursion below can build others), so
+  // an incremental run only pays for the ports its cone touches.
+  for (LinkId lk : sub) (void)flows_at(lk);
+  const std::vector<std::vector<FlowAtLink>>& flows = flows_;
 
   // --- Interference segments -------------------------------------------------
   // A flow j contributes one term per maximal run of consecutive shared

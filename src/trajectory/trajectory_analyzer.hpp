@@ -142,8 +142,9 @@ class Analyzer {
  private:
   /// Per-link precomputation of the crossing flows: predecessor link,
   /// largest-frame transmission time at the link's rate, BAG and release
-  /// jitter, in vls_on_link order. Built once per instance; removes the
-  /// per-prefix route/hash lookups from the segment-construction loop.
+  /// jitter, in vls_on_link order. Built once per link on first use;
+  /// removes the per-prefix route/hash lookups from the segment-
+  /// construction loop.
   struct FlowAtLink {
     VlId id = kInvalidVl;
     LinkId pred = kInvalidLink;
@@ -159,7 +160,9 @@ class Analyzer {
   struct ScratchFrame;
 
   Microseconds compute_prefix(VlId vl, LinkId last);
-  const std::vector<std::vector<FlowAtLink>>& flow_table();
+  /// The flow row of link `l`, built on first use. Rows of other links
+  /// stay valid while a row is built (the outer table never resizes).
+  const std::vector<FlowAtLink>& flows_at(LinkId l);
 
   /// Worst-case FIFO backlog of every used port, in time units at the
   /// port's rate (the serialization caps). Computed lazily from the
@@ -180,7 +183,8 @@ class Analyzer {
   common::FlatMap<Microseconds> memo_;
   std::unordered_set<std::uint64_t> in_progress_;
   std::optional<std::vector<Microseconds>> backlog_caps_;
-  std::optional<std::vector<std::vector<FlowAtLink>>> flows_;
+  std::vector<std::vector<FlowAtLink>> flows_;  // indexed by LinkId
+  std::vector<char> flows_ready_;
   /// Memoized min_arrival_at values (each first computed with the exact
   /// chain-walk summation, so memoization cannot perturb a bound).
   mutable common::FlatMap<Microseconds> min_arrival_memo_;

@@ -69,54 +69,95 @@ std::vector<LinkId> VlRoute::prefix_before(std::uint32_t dest_index,
 // TrafficConfig
 
 TrafficConfig::TrafficConfig(Network network, std::vector<VirtualLink> vls)
-    : net_(std::move(network)), vls_(std::move(vls)) {
-  build({});
+    : vls_(std::move(vls)) {
+  build(std::move(network), {});
 }
 
 TrafficConfig::TrafficConfig(Network network, std::vector<VirtualLink> vls,
                              std::vector<std::vector<std::vector<LinkId>>> routes)
-    : net_(std::move(network)), vls_(std::move(vls)) {
-  build(std::move(routes));
+    : vls_(std::move(vls)) {
+  build(std::move(network), std::move(routes));
 }
 
-void TrafficConfig::build(std::vector<std::vector<std::vector<LinkId>>> routes) {
-  net_.validate();
+void TrafficConfig::build(Network network,
+                          std::vector<std::vector<std::vector<LinkId>>> routes) {
+  auto layout = std::make_shared<Layout>();
+  layout->net = std::move(network);
+  const Network& net = layout->net;
+  net.validate();
   AFDX_REQUIRE(routes.empty() || routes.size() == vls_.size(),
                "explicit routes must cover every VL");
 
-  link_vls_.assign(net_.link_count(), {});
-  routes_.reserve(vls_.size());
+  const std::size_t n_links = net.link_count();
+  layout->link_vls.assign(n_links, {});
+  layout->routes.reserve(vls_.size());
+  layout->path_begin.reserve(vls_.size() + 1);
 
   for (VlId id = 0; id < vls_.size(); ++id) {
     const VirtualLink& vl = vls_[id];
     vl.validate();
-    AFDX_REQUIRE(net_.is_end_system(vl.source),
+    AFDX_REQUIRE(net.is_end_system(vl.source),
                  "VL " + vl.name + ": source must be an end system");
 
     std::vector<std::vector<LinkId>> paths(vl.destinations.size());
     for (std::size_t d = 0; d < vl.destinations.size(); ++d) {
       const NodeId dest = vl.destinations[d];
-      AFDX_REQUIRE(net_.is_end_system(dest),
+      AFDX_REQUIRE(net.is_end_system(dest),
                    "VL " + vl.name + ": destination must be an end system");
       if (!routes.empty() && !routes[id].empty() && !routes[id][d].empty()) {
         paths[d] = routes[id][d];
       } else {
-        auto sp = net_.shortest_path(vl.source, dest);
+        auto sp = net.shortest_path(vl.source, dest);
         AFDX_REQUIRE(sp.has_value(), "VL " + vl.name +
                                          ": destination " +
-                                         net_.node(dest).name + " unreachable");
+                                         net.node(dest).name + " unreachable");
         paths[d] = std::move(*sp);
       }
     }
-    routes_.emplace_back(net_, vl, std::move(paths));
+    layout->routes.emplace_back(net, vl, std::move(paths));
 
-    for (LinkId l : routes_.back().crossed_links()) {
-      link_vls_[l].push_back(id);
+    for (LinkId l : layout->routes.back().crossed_links()) {
+      layout->link_vls[l].push_back(id);
     }
+    layout->path_begin.push_back(layout->all_paths.size());
     for (std::uint32_t d = 0; d < vl.destinations.size(); ++d) {
-      all_paths_.push_back(VlPath{id, d, routes_.back().paths()[d]});
+      layout->all_paths.push_back(
+          VlPath{id, d, layout->routes.back().paths()[d]});
     }
   }
+  layout->path_begin.push_back(layout->all_paths.size());
+
+  layout_ = std::move(layout);
+
+  utilization_.resize(n_links);
+  for (LinkId l = 0; l < n_links; ++l) utilization_[l] = link_utilization(l);
+}
+
+double TrafficConfig::link_utilization(LinkId l) const {
+  double total = 0.0;
+  for (VlId id : layout_->link_vls[l]) total += vls_[id].rate_bits_per_us();
+  return total / layout_->net.link(l).rate;
+}
+
+TrafficConfig TrafficConfig::with_vl_parameters(
+    const std::vector<std::pair<VlId, VirtualLink>>& edits) const {
+  TrafficConfig out = *this;
+  for (const auto& [id, edited] : edits) {
+    const VirtualLink& current = vl(id);
+    AFDX_REQUIRE(edited.name == current.name && edited.source == current.source &&
+                     edited.destinations == current.destinations,
+                 "VL " + current.name +
+                     ": a parameter edit must keep the name, source and "
+                     "destinations");
+    edited.validate();
+    out.vls_[id] = edited;
+  }
+  for (const auto& edit : edits) {
+    for (LinkId l : route(edit.first).crossed_links()) {
+      out.utilization_[l] = out.link_utilization(l);
+    }
+  }
+  return out;
 }
 
 const VirtualLink& TrafficConfig::vl(VlId id) const {
@@ -125,41 +166,102 @@ const VirtualLink& TrafficConfig::vl(VlId id) const {
 }
 
 const VlRoute& TrafficConfig::route(VlId id) const {
-  AFDX_REQUIRE(id < routes_.size(), "VL id out of range");
-  return routes_[id];
+  AFDX_REQUIRE(id < layout_->routes.size(), "VL id out of range");
+  return layout_->routes[id];
+}
+
+const TrafficConfig::Layout& TrafficConfig::graph_layout() const {
+  std::call_once(layout_->graph_once, [this] {
+    const Layout& layout = *layout_;
+    const std::size_t n_links = layout.net.link_count();
+    // Port dependency graph: port -> every port a path hops to next.
+    layout.next.assign(n_links, {});
+    for (const VlPath& p : layout.all_paths) {
+      for (std::size_t k = 1; k < p.links.size(); ++k) {
+        layout.next[p.links[k - 1]].push_back(p.links[k]);
+      }
+    }
+    std::vector<int> in_degree(n_links, 0);
+    for (std::vector<LinkId>& next : layout.next) {
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      for (LinkId s : next) ++in_degree[s];
+    }
+    // Kahn's algorithm: the graph is acyclic when every port gets placed.
+    std::vector<LinkId> ready;
+    for (LinkId l = 0; l < n_links; ++l) {
+      if (in_degree[l] == 0) ready.push_back(l);
+    }
+    std::size_t placed = 0;
+    while (!ready.empty()) {
+      const LinkId p = ready.back();
+      ready.pop_back();
+      ++placed;
+      for (LinkId s : layout.next[p]) {
+        if (--in_degree[s] == 0) ready.push_back(s);
+      }
+    }
+    layout.feed_forward = placed == n_links;
+  });
+  return *layout_;
+}
+
+const TrafficConfig::Layout& TrafficConfig::named_layout() const {
+  // Names are part of the layout (with_vl_parameters keeps them), so any
+  // configuration sharing it may build the index.
+  std::call_once(layout_->names_once, [this] {
+    layout_->by_name.reserve(vls_.size());
+    for (VlId id = 0; id < vls_.size(); ++id) {
+      if (!layout_->by_name.emplace(vls_[id].name, id).second) {
+        layout_->unique_names = false;
+      }
+    }
+  });
+  return *layout_;
 }
 
 std::optional<VlId> TrafficConfig::find_vl(const std::string& name) const {
-  for (VlId i = 0; i < vls_.size(); ++i) {
-    if (vls_[i].name == name) return i;
-  }
-  return std::nullopt;
+  const Layout& layout = named_layout();
+  const auto it = layout.by_name.find(name);
+  if (it == layout.by_name.end()) return std::nullopt;
+  return it->second;
+}
+
+bool TrafficConfig::unique_vl_names() const {
+  return named_layout().unique_names;
 }
 
 const VlPath& TrafficConfig::path(PathRef ref) const {
-  for (const VlPath& p : all_paths_) {
-    if (p.vl == ref.vl && p.dest_index == ref.dest_index) return p;
+  if (ref.vl < vls_.size() &&
+      ref.dest_index < first_path(ref.vl + 1) - first_path(ref.vl)) {
+    return layout_->all_paths[first_path(ref.vl) + ref.dest_index];
   }
   throw Error("path not found");
 }
 
 const std::vector<VlId>& TrafficConfig::vls_on_link(LinkId l) const {
-  AFDX_REQUIRE(l < link_vls_.size(), "link id out of range");
-  return link_vls_[l];
+  AFDX_REQUIRE(l < layout_->link_vls.size(), "link id out of range");
+  return layout_->link_vls[l];
+}
+
+const std::vector<LinkId>& TrafficConfig::next_ports(LinkId l) const {
+  const Layout& layout = graph_layout();
+  AFDX_REQUIRE(l < layout.next.size(), "link id out of range");
+  return layout.next[l];
+}
+
+bool TrafficConfig::feed_forward() const {
+  return graph_layout().feed_forward;
 }
 
 double TrafficConfig::utilization(LinkId l) const {
-  const Link& link = net_.link(l);
-  double total = 0.0;
-  for (VlId id : vls_on_link(l)) total += vls_[id].rate_bits_per_us();
-  return total / link.rate;
+  AFDX_REQUIRE(l < utilization_.size(), "link id out of range");
+  return utilization_[l];
 }
 
 double TrafficConfig::max_utilization() const {
   double worst = 0.0;
-  for (LinkId l = 0; l < net_.link_count(); ++l) {
-    worst = std::max(worst, utilization(l));
-  }
+  for (double u : utilization_) worst = std::max(worst, u);
   return worst;
 }
 

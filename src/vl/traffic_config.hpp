@@ -13,9 +13,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "topology/network.hpp"
@@ -84,6 +87,13 @@ class VlRoute {
 };
 
 /// A complete, validated AFDX configuration.
+///
+/// The network, the routes and every index derived from them (paths, the
+/// per-link VL lists, the port dependency graph, the VL name index) form
+/// one immutable layout that copies share; only the VL parameters and the
+/// per-port utilization they induce are per configuration. Copying a
+/// configuration, or deriving one with edited VL parameters
+/// (with_vl_parameters), therefore costs O(VLs), not O(routes).
 class TrafficConfig {
  public:
   /// Builds routes automatically (shortest path per destination) and
@@ -96,15 +106,25 @@ class TrafficConfig {
   TrafficConfig(Network network, std::vector<VirtualLink> vls,
                 std::vector<std::vector<std::vector<LinkId>>> routes);
 
-  [[nodiscard]] const Network& network() const noexcept { return net_; }
+  [[nodiscard]] const Network& network() const noexcept { return layout_->net; }
   [[nodiscard]] std::size_t vl_count() const noexcept { return vls_.size(); }
   [[nodiscard]] const VirtualLink& vl(VlId id) const;
   [[nodiscard]] const VlRoute& route(VlId id) const;
+  /// The VL called `name` (the first one when several share the name), or
+  /// nullopt. O(1): the name index is built once per layout, on first use.
   [[nodiscard]] std::optional<VlId> find_vl(const std::string& name) const;
+  /// False when two VLs share a name (names are then no stable id).
+  [[nodiscard]] bool unique_vl_names() const;
 
-  /// Every (VL, destination) pair of the configuration.
+  /// Every (VL, destination) pair of the configuration, ordered by VL id,
+  /// then destination index.
   [[nodiscard]] const std::vector<VlPath>& all_paths() const noexcept {
-    return all_paths_;
+    return layout_->all_paths;
+  }
+
+  /// The paths of one VL: all_paths()[first_path(id) .. first_path(id + 1)).
+  [[nodiscard]] std::size_t first_path(VlId id) const noexcept {
+    return layout_->path_begin[id];
   }
 
   /// The link sequence of one path.
@@ -112,6 +132,15 @@ class TrafficConfig {
 
   /// Ids of the VLs whose tree crosses output port `l` (deterministic order).
   [[nodiscard]] const std::vector<VlId>& vls_on_link(LinkId l) const;
+
+  /// Output ports fed by port `l`: every port a VL crossing `l` is
+  /// forwarded to next (ascending, no duplicates). These are the edges of
+  /// the port dependency graph the analyses propagate along.
+  [[nodiscard]] const std::vector<LinkId>& next_ports(LinkId l) const;
+
+  /// True when the port dependency graph is acyclic (the configuration is
+  /// feed-forward, so every port can be analyzed after its predecessors).
+  [[nodiscard]] bool feed_forward() const;
 
   /// Long-term utilization of output port `l`:
   /// sum of (8 s_max / BAG) over crossing VLs, divided by the link rate.
@@ -124,14 +153,50 @@ class TrafficConfig {
   /// delay bound to exist).
   [[nodiscard]] bool stable() const;
 
- private:
-  void build(std::vector<std::vector<std::vector<LinkId>>> routes);
+  /// A configuration with the parameters of some VLs replaced (BAG, frame
+  /// sizes, release jitter, priority) and everything else -- network,
+  /// routes and their indexes -- shared with this one. Each replacement
+  /// must keep the VL's name, source and destinations and is validated
+  /// like any VL; only the utilization of the ports the edited VLs cross
+  /// is recomputed.
+  [[nodiscard]] TrafficConfig with_vl_parameters(
+      const std::vector<std::pair<VlId, VirtualLink>>& edits) const;
 
-  Network net_;
+  /// True when both configurations share one layout (one was derived from
+  /// the other by copying or with_vl_parameters): same network, same
+  /// routes, same VL names under the same ids.
+  [[nodiscard]] bool shares_layout(const TrafficConfig& other) const noexcept {
+    return layout_ == other.layout_;
+  }
+
+ private:
+  /// Everything derived from the network and the routes.
+  struct Layout {
+    Network net;
+    std::vector<VlRoute> routes;
+    std::vector<VlPath> all_paths;
+    std::vector<std::size_t> path_begin;       // indexed by VlId, plus end
+    std::vector<std::vector<VlId>> link_vls;   // indexed by LinkId
+    /// The port dependency graph (indexed by LinkId) and the VL name
+    /// index are built on first use: most configurations (generated,
+    /// permuted, degraded views) are analyzed once or not at all.
+    mutable std::once_flag graph_once;
+    mutable std::vector<std::vector<LinkId>> next;
+    mutable bool feed_forward = true;
+    mutable std::once_flag names_once;
+    mutable std::unordered_map<std::string, VlId> by_name;
+    mutable bool unique_names = true;
+  };
+
+  void build(Network network,
+             std::vector<std::vector<std::vector<LinkId>>> routes);
+  [[nodiscard]] const Layout& graph_layout() const;
+  [[nodiscard]] const Layout& named_layout() const;
+  [[nodiscard]] double link_utilization(LinkId l) const;
+
+  std::shared_ptr<const Layout> layout_;
   std::vector<VirtualLink> vls_;
-  std::vector<VlRoute> routes_;
-  std::vector<VlPath> all_paths_;
-  std::vector<std::vector<VlId>> link_vls_;  // indexed by LinkId
+  std::vector<double> utilization_;  // indexed by LinkId
 };
 
 }  // namespace afdx

@@ -25,6 +25,7 @@
 #include "faults/scenario.hpp"
 #include "gen/industrial.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
+#include "obs/counters.hpp"
 #include "trajectory/trajectory_analyzer.hpp"
 
 namespace afdx::engine {
@@ -797,36 +798,6 @@ TEST(ThreadPool, DynamicSingleThreadRunsInline) {
   EXPECT_EQ(pool.steal_count(), 0u);
 }
 
-TEST(PortCache, SeedStoresAndOverwrites) {
-  PortCache cache;
-  netcalc::PortBounds a;
-  a.backlog = 1.0;
-  netcalc::PortBounds b;
-  b.backlog = 2.0;
-  cache.store(7, 0, a);
-  cache.seed(7, 0, b);  // seed overwrites, unlike store
-  cache.seed(7, 1, a);
-  const auto hit = cache.lookup(7, 0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->backlog, 2.0);
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.seeded, 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(PortCache, EvictCountsOnlyExistingEntries) {
-  PortCache cache;
-  netcalc::PortBounds b;
-  cache.store(7, 0, b);
-  cache.store(7, 1, b);
-  cache.store(8, 0, b);
-  cache.evict(7, {0, 1, 2});  // 2 was never stored
-  EXPECT_EQ(cache.stats().evicted, 2u);
-  EXPECT_FALSE(cache.lookup(7, 0).has_value());
-  EXPECT_FALSE(cache.lookup(7, 1).has_value());
-  EXPECT_TRUE(cache.lookup(8, 0).has_value());  // other key untouched
-}
-
 // Strict bitwise comparison of two runs, including per-path outcomes.
 void expect_runs_identical(const RunResult& a, const RunResult& b) {
   expect_identical(a.netcalc, b.netcalc);
@@ -907,9 +878,9 @@ TEST(EngineIncremental, SeedsCleanPortsAndSkipsDirtyCone) {
   }
   EXPECT_EQ(m.incremental.seeded_ports + m.incremental.dirty_ports, used);
   EXPECT_GT(m.incremental.seeded_ports, 0u);
-  // Seeding happens before the run proper, so it shows in the lifetime
-  // cache counters (the per-run delta only covers the run itself).
-  EXPECT_GT(m.cache.seeded, 0u);
+  // Clean ports are read from the baseline result: the run consults the
+  // port cache for the dirty ones only.
+  EXPECT_EQ(m.cache_run.hits + m.cache_run.misses, m.incremental.dirty_ports);
   EXPECT_TRUE(run.complete());
 }
 
@@ -979,10 +950,21 @@ TEST(EngineIncremental, ParameterEditRecomputesOnlyAffectedPrefixes) {
   EXPECT_GT(m.incremental.seeded_prefixes, 0u);
   // Counter-based "only the affected prefixes recompute": the incremental
   // run's prefix-cache misses are exactly the cone's share, strictly fewer
-  // than the cold run's.
+  // than the cold run's. A prefix (VL, port) is clean exactly when its
+  // port is; the baseline's clean prefixes are read from its table (only
+  // those the cone's recursion needs), never recomputed.
+  const IncrementalPlan plan = plan_incremental(cfg, mutated, {});
+  std::uint64_t clean_prefixes = 0;
+  for (VlId v = 0; v < mutated.vl_count(); ++v) {
+    for (LinkId l : mutated.route(v).crossed_links()) {
+      if (!plan.dirty[l] && baseline.prefixes->find(v, l).has_value()) {
+        ++clean_prefixes;
+      }
+    }
+  }
+  EXPECT_LE(m.incremental.seeded_prefixes, clean_prefixes);
   EXPECT_LT(m.prefix_run.misses, cold_prefixes);
-  EXPECT_EQ(m.prefix_run.misses + m.incremental.seeded_prefixes,
-            cold_prefixes);
+  EXPECT_EQ(m.prefix_run.misses + clean_prefixes, cold_prefixes);
   // ... and the bounds still match the cold run bit for bit.
   expect_runs_identical(cold_run, inc_run);
 }
@@ -1111,6 +1093,259 @@ TEST(Session, ManyConcurrentSessionsStayIndependent) {
     check.override_bag("VL" + std::to_string(i + 1), 1000.0 * (i + 1));
     expect_runs_identical(fresh_full_run(check.materialize()),
                           runs[static_cast<std::size_t>(i)]);
+  }
+}
+
+// --- Planner differential test -------------------------------------------
+// The planner diffs VLs, matched by name; the reference below is the
+// per-port crossing-tuple diff it replaced, kept here to pin the new
+// planner to exactly the same cone.
+
+struct CrossTuple {
+  std::string name;
+  LinkId pred = kInvalidLink;
+  Microseconds bag = 0.0;
+  Bytes s_min = 0;
+  Bytes s_max = 0;
+  Microseconds release_jitter = 0.0;
+  std::uint8_t priority = 0;
+
+  bool operator==(const CrossTuple&) const = default;
+};
+
+std::vector<CrossTuple> port_tuples(const TrafficConfig& cfg, LinkId port) {
+  std::vector<CrossTuple> out;
+  for (VlId v : cfg.vls_on_link(port)) {
+    const VirtualLink& vl = cfg.vl(v);
+    out.push_back(CrossTuple{vl.name, cfg.route(v).predecessor(port), vl.bag,
+                             vl.s_min, vl.s_max, vl.max_release_jitter,
+                             vl.priority});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CrossTuple& a, const CrossTuple& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.pred < b.pred;
+            });
+  return out;
+}
+
+IncrementalPlan reference_plan(const TrafficConfig& baseline,
+                               const TrafficConfig& current,
+                               const std::vector<LinkId>& changed_links) {
+  IncrementalPlan plan;
+  const std::size_t n = current.network().link_count();
+  plan.base_vl.assign(current.vl_count(), kInvalidVl);
+  for (VlId v = 0; v < current.vl_count(); ++v) {
+    for (VlId b = 0; b < baseline.vl_count(); ++b) {
+      if (baseline.vl(b).name == current.vl(v).name) {
+        plan.base_vl[v] = b;
+        break;
+      }
+    }
+  }
+  plan.dirty.assign(n, 0);
+  for (LinkId l : changed_links) plan.dirty[l] = 1;
+  for (LinkId l = 0; l < n; ++l) {
+    if (port_tuples(baseline, l) != port_tuples(current, l)) plan.dirty[l] = 1;
+  }
+  std::vector<std::vector<LinkId>> successors(n);
+  for (LinkId port = 0; port < n; ++port) {
+    for (VlId v : current.vls_on_link(port)) {
+      const LinkId pred = current.route(v).predecessor(port);
+      if (pred != kInvalidLink) successors[pred].push_back(port);
+    }
+  }
+  std::vector<LinkId> stack;
+  for (LinkId l = 0; l < n; ++l) {
+    if (plan.dirty[l]) stack.push_back(l);
+  }
+  while (!stack.empty()) {
+    const LinkId p = stack.back();
+    stack.pop_back();
+    for (LinkId s : successors[p]) {
+      if (!plan.dirty[s]) {
+        plan.dirty[s] = 1;
+        stack.push_back(s);
+      }
+    }
+  }
+  for (LinkId l = 0; l < n; ++l) {
+    if (current.vls_on_link(l).empty()) continue;
+    (plan.dirty[l] ? plan.dirty_ports : plan.clean_ports).push_back(l);
+  }
+  plan.compatible = true;
+  return plan;
+}
+
+void expect_same_plan(const IncrementalPlan& got, const IncrementalPlan& want) {
+  ASSERT_TRUE(got.compatible) << got.reason;
+  EXPECT_EQ(got.dirty, want.dirty);
+  EXPECT_EQ(got.dirty_ports, want.dirty_ports);
+  EXPECT_EQ(got.clean_ports, want.clean_ports);
+  EXPECT_EQ(got.base_vl, want.base_vl);
+}
+
+TEST(IncrementalPlan, MatchesTupleDiffOnEverySingleVlEdit) {
+  const TrafficConfig cfg = small_industrial();
+  const std::vector<std::pair<const char*, void (*)(VirtualLink&)>> edits{
+      {"bag", [](VirtualLink& vl) { vl.bag /= 2.0; }},
+      {"s_max",
+       [](VirtualLink& vl) {
+         vl.s_max = vl.s_max < kMaxEthernetFrame ? vl.s_max + 1 : vl.s_max - 1;
+       }},
+      {"jitter", [](VirtualLink& vl) { vl.max_release_jitter += 10.0; }},
+      {"priority", [](VirtualLink& vl) { ++vl.priority; }}};
+  std::size_t nonempty = 0;
+  for (VlId v = 0; v < cfg.vl_count(); ++v) {
+    for (const auto& [what, edit] : edits) {
+      SCOPED_TRACE(cfg.vl(v).name + " " + what);
+      VirtualLink edited = cfg.vl(v);
+      edit(edited);
+      // A shared-layout overlay (what a session materializes) and the same
+      // overlay built from scratch must both plan the reference cone.
+      const TrafficConfig shared = cfg.with_vl_parameters({{v, edited}});
+      const TrafficConfig rebuilt =
+          with_mutated_vl(cfg, v, [&](VirtualLink& vl) { vl = edited; });
+      const IncrementalPlan want = reference_plan(cfg, rebuilt, {});
+      expect_same_plan(plan_incremental(cfg, shared, {}), want);
+      expect_same_plan(plan_incremental(cfg, rebuilt, {}), want);
+      if (!want.dirty_ports.empty()) ++nonempty;
+    }
+  }
+  EXPECT_EQ(nonempty, cfg.vl_count() * edits.size());
+}
+
+void expect_scenario_plans_match(const TrafficConfig& cfg) {
+  std::vector<faults::FaultScenario> scenarios =
+      faults::single_link_scenarios(cfg);
+  for (auto& s : faults::single_switch_scenarios(cfg)) {
+    scenarios.push_back(std::move(s));
+  }
+  ASSERT_FALSE(scenarios.empty());
+  std::size_t planned = 0;
+  for (const faults::FaultScenario& scenario : scenarios) {
+    const faults::DegradedView view = faults::apply_scenario(cfg, scenario);
+    if (!view.config.has_value()) continue;
+    SCOPED_TRACE("scenario " + scenario.name);
+    const std::vector<LinkId> changed =
+        faults::scenario_changed_links(cfg.network(), scenario);
+    expect_same_plan(plan_incremental(cfg, *view.config, changed),
+                     reference_plan(cfg, *view.config, changed));
+    ++planned;
+  }
+  EXPECT_GT(planned, 0u);
+}
+
+TEST(IncrementalPlan, MatchesTupleDiffOnSampleFaultScenarios) {
+  expect_scenario_plans_match(config::sample_config());
+}
+
+TEST(IncrementalPlan, MatchesTupleDiffOnIndustrialFaultScenarios) {
+  expect_scenario_plans_match(small_industrial());
+}
+
+TEST(IncrementalPlan, DuplicateVlNamesAreIncompatible) {
+  const TrafficConfig cfg = config::sample_config();
+  const TrafficConfig dup = with_mutated_vl(
+      cfg, 1, [&](VirtualLink& vl) { vl.name = cfg.vl(0).name; });
+  EXPECT_FALSE(plan_incremental(cfg, dup, {}).compatible);
+  EXPECT_FALSE(plan_incremental(dup, cfg, {}).compatible);
+}
+
+// --- Work counts of a local edit ------------------------------------------
+
+TEST(EngineIncremental, LocalEditComputesOnlyTheCone) {
+  const auto base = shared_baseline();
+  const TrafficConfig& cfg = base->config();
+  obs::Counter& ports_computed =
+      obs::registry().counter("netcalc.ports_computed");
+  std::size_t with_transplants = 0;
+  for (VlId v = 0; v < cfg.vl_count(); v += 7) {
+    SCOPED_TRACE(cfg.vl(v).name);
+    OverlaySession session(base);
+    session.override_bag(cfg.vl(v).name, cfg.vl(v).bag / 2.0);
+    const std::uint64_t computed0 = ports_computed.value();
+    const RunResult run = session.analyze();
+    const IncrementalStats& stats = session.last_incremental();
+    ASSERT_FALSE(stats.full_fallback) << stats.fallback_reason;
+    // WCNC: exactly the dirty ports are computed.
+    EXPECT_EQ(ports_computed.value() - computed0, stats.dirty_ports);
+    // Trajectory: exactly the paths that were not transplanted.
+    std::size_t paths_done = 0;
+    for (const ShardMetrics& shard : run.metrics.shards) {
+      paths_done += shard.paths;
+    }
+    EXPECT_EQ(paths_done, cfg.all_paths().size() - stats.transplanted_paths);
+    if (stats.transplanted_paths > 0) ++with_transplants;
+    expect_runs_identical(fresh_full_run(session.materialize()), run);
+  }
+  EXPECT_GT(with_transplants, 0u);
+}
+
+/// Three switches in a triangle with three flows chasing each other around
+/// it (a cyclic port-dependency graph), plus a bystander flow.
+TrafficConfig cyclic_config() {
+  Network net;
+  const NodeId s1 = net.add_switch("S1");
+  const NodeId s2 = net.add_switch("S2");
+  const NodeId s3 = net.add_switch("S3");
+  const NodeId a = net.add_end_system("a");
+  const NodeId b = net.add_end_system("b");
+  const NodeId c = net.add_end_system("c");
+  net.connect(s1, s2);
+  net.connect(s2, s3);
+  net.connect(s3, s1);
+  net.connect(a, s1);
+  net.connect(b, s2);
+  net.connect(c, s3);
+  const auto link = [&](NodeId x, NodeId y) { return *net.link_between(x, y); };
+  std::vector<VirtualLink> vls{
+      {"f1", a, {c}, microseconds_from_ms(4.0), 64, 500},
+      {"f2", b, {a}, microseconds_from_ms(4.0), 64, 500},
+      {"f3", c, {b}, microseconds_from_ms(4.0), 64, 500},
+      {"f4", a, {b}, microseconds_from_ms(2.0), 64, 300}};
+  std::vector<std::vector<std::vector<LinkId>>> routes{
+      {{link(a, s1), link(s1, s2), link(s2, s3), link(s3, c)}},
+      {{link(b, s2), link(s2, s3), link(s3, s1), link(s1, a)}},
+      {{link(c, s3), link(s3, s1), link(s1, s2), link(s2, b)}},
+      {}};
+  return TrafficConfig(std::move(net), std::move(vls), std::move(routes));
+}
+
+TEST(EngineIncremental, CyclicWhatIfMatchesAColdRun) {
+  auto cfg = std::make_shared<const TrafficConfig>(cyclic_config());
+  ASSERT_FALSE(cfg->feed_forward());
+  const auto base = BaselineState::build(cfg);
+  OverlaySession session(base);
+  session.override_bag("f1", microseconds_from_ms(2.0));
+  const RunResult run = session.analyze();
+  EXPECT_TRUE(session.last_incremental().full_fallback);
+  const TrafficConfig overlay = session.materialize();
+  AnalysisEngine cold(overlay, Options{1});
+  expect_runs_identical(cold.run_resilient(), run);
+  // The WCNC bounds come from the cyclic fixed point, not a level walk.
+  EXPECT_EQ(cold.metrics().levels, 0u);
+  for (std::size_t i = 0; i < run.netcalc.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(run.netcalc[i])) << "path " << i;
+  }
+}
+
+// --- Metrics agree across run modes ----------------------------------------
+
+TEST(EngineMetrics, LevelsAgreeAcrossRunModes) {
+  const TrafficConfig cfg = small_industrial();
+  AnalysisEngine plain(cfg, Options{1});
+  (void)plain.run();
+  AnalysisEngine resilient(cfg, Options{1});
+  (void)resilient.run_resilient();
+  AnalysisEngine streaming(cfg, Options{1});
+  (void)streaming.run_streaming(nullptr);
+  const RunMetrics m = plain.metrics();
+  EXPECT_GT(m.levels, 0u);
+  EXPECT_GT(m.max_level_width, 0u);
+  for (const RunMetrics& other : {resilient.metrics(), streaming.metrics()}) {
+    EXPECT_EQ(other.levels, m.levels);
+    EXPECT_EQ(other.max_level_width, m.max_level_width);
   }
 }
 

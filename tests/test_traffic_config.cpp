@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "config/samples.hpp"
 
@@ -184,6 +188,102 @@ TEST(TrafficConfig, PathLookupByRef) {
   EXPECT_EQ(p.vl, v6);
   EXPECT_EQ(p.dest_index, 1u);
   EXPECT_THROW((void)cfg.path(PathRef{v6, 9}), Error);
+}
+
+/// Two end systems behind one switch, three VLs; `names` labels them.
+TrafficConfig three_vls(const std::vector<std::string>& names) {
+  Network net;
+  const NodeId e1 = net.add_end_system("e1");
+  const NodeId e2 = net.add_end_system("e2");
+  const NodeId s1 = net.add_switch("S1");
+  net.connect(e1, s1);
+  net.connect(s1, e2);
+  std::vector<VirtualLink> vls;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    vls.push_back(VirtualLink{names[i], e1, {e2}, 4000.0 * (i + 1), 64, 500});
+  }
+  return TrafficConfig(std::move(net), std::move(vls));
+}
+
+TEST(TrafficConfig, FindVlIndexesNames) {
+  const TrafficConfig cfg = three_vls({"a", "b", "c"});
+  EXPECT_TRUE(cfg.unique_vl_names());
+  EXPECT_EQ(cfg.find_vl("a"), std::optional<VlId>(0));
+  EXPECT_EQ(cfg.find_vl("c"), std::optional<VlId>(2));
+  EXPECT_FALSE(cfg.find_vl("").has_value());
+  EXPECT_FALSE(cfg.find_vl("A").has_value());  // case-sensitive
+  EXPECT_FALSE(cfg.find_vl("a ").has_value());
+  // Copies and derived configurations answer from the same index.
+  const TrafficConfig copy = cfg;
+  EXPECT_EQ(copy.find_vl("b"), std::optional<VlId>(1));
+}
+
+TEST(TrafficConfig, FindVlReturnsTheFirstOfDuplicateNames) {
+  // Names are not required to be unique; the lookup returns the lowest
+  // id carrying the name.
+  const TrafficConfig cfg = three_vls({"x", "y", "x"});
+  EXPECT_FALSE(cfg.unique_vl_names());
+  EXPECT_EQ(cfg.find_vl("x"), std::optional<VlId>(0));
+  EXPECT_EQ(cfg.find_vl("y"), std::optional<VlId>(1));
+  EXPECT_FALSE(cfg.find_vl("z").has_value());
+}
+
+TEST(TrafficConfig, ParameterEditSharesTheLayoutAndMatchesAFreshBuild) {
+  const TrafficConfig cfg = config::illustrative_config();
+  const VlId v6 = *cfg.find_vl("v6");
+  const Bytes original = cfg.vl(v6).s_max;
+  VirtualLink edited = cfg.vl(v6);
+  edited.bag /= 2.0;
+  edited.s_max = original + 1;
+  const TrafficConfig patched = cfg.with_vl_parameters({{v6, edited}});
+  EXPECT_TRUE(patched.shares_layout(cfg));
+  EXPECT_EQ(patched.vl(v6).s_max, original + 1);
+  EXPECT_EQ(cfg.vl(v6).s_max, original);  // the original is untouched
+
+  // Same utilization, bit for bit, as a configuration built from scratch.
+  std::vector<VirtualLink> vls;
+  std::vector<std::vector<std::vector<LinkId>>> routes;
+  for (VlId v = 0; v < cfg.vl_count(); ++v) {
+    vls.push_back(v == v6 ? edited : cfg.vl(v));
+    routes.push_back(cfg.route(v).paths());
+  }
+  const TrafficConfig fresh(Network(cfg.network()), std::move(vls),
+                            std::move(routes));
+  EXPECT_FALSE(fresh.shares_layout(cfg));
+  for (LinkId l = 0; l < cfg.network().link_count(); ++l) {
+    EXPECT_EQ(patched.utilization(l), fresh.utilization(l)) << "link " << l;
+  }
+  EXPECT_EQ(patched.max_utilization(), fresh.max_utilization());
+}
+
+TEST(TrafficConfig, ParameterEditRejectsRoutingChangesAndBadContracts) {
+  const TrafficConfig cfg = config::sample_config();
+  VirtualLink renamed = cfg.vl(0);
+  renamed.name = "other";
+  EXPECT_THROW((void)cfg.with_vl_parameters({{0, renamed}}), Error);
+  VirtualLink moved = cfg.vl(0);
+  moved.destinations = cfg.vl(4).destinations;
+  if (moved.destinations != cfg.vl(0).destinations) {
+    EXPECT_THROW((void)cfg.with_vl_parameters({{0, moved}}), Error);
+  }
+  VirtualLink broken = cfg.vl(0);
+  broken.bag = 0.0;
+  EXPECT_THROW((void)cfg.with_vl_parameters({{0, broken}}), Error);
+}
+
+TEST(TrafficConfig, DependencyGraphAndFeedForward) {
+  const TrafficConfig cfg = config::sample_config();
+  EXPECT_TRUE(cfg.feed_forward());
+  for (LinkId l = 0; l < cfg.network().link_count(); ++l) {
+    for (LinkId s : cfg.next_ports(l)) {
+      // Every edge is some crossing VL's hop from l to s.
+      bool hop = false;
+      for (VlId v : cfg.vls_on_link(s)) {
+        if (cfg.route(v).predecessor(s) == l) hop = true;
+      }
+      EXPECT_TRUE(hop) << l << " -> " << s;
+    }
+  }
 }
 
 TEST(TrafficConfig, IllustrativeConfigIsStableAndMultipath) {
