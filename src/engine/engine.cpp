@@ -212,7 +212,10 @@ void RunMetrics::print(std::ostream& out) const {
       out << " [" << s.vls << " vls, " << s.paths << " paths, "
           << finite_or_zero(s.hit_rate()) * 100.0 << " % memo hits]";
     }
-    out << "\n";
+    out << "\n"
+        << "  prefix work: " << prefix_work.prefixes << " prefixes, "
+        << prefix_work.segments << " segments, " << prefix_work.candidates
+        << " candidates, " << prefix_work.busy_rounds << " busy rounds\n";
   }
   if (incremental.attempted) {
     if (incremental.full_fallback) {
@@ -425,14 +428,20 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory(
   });
 
   metrics_.shards.clear();
+  metrics_.prefix_work = {};
   for (const Shard& shard : local) {
     if (!shard.analyzer) continue;
-    const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
-    metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
-                                           c.lookups, c.local_hits,
-                                           c.shared_hits});
+    record_shard(shard.vls, shard.paths_done, *shard.analyzer);
   }
   return out;
+}
+
+void AnalysisEngine::record_shard(std::size_t vls, std::size_t paths,
+                                  const trajectory::Analyzer& analyzer) {
+  const trajectory::Analyzer::CacheCounters& c = analyzer.counters();
+  metrics_.shards.push_back(ShardMetrics{vls, paths, c.lookups, c.local_hits,
+                                         c.shared_hits, analyzer.work()});
+  metrics_.prefix_work += analyzer.work();
 }
 
 RunResult AnalysisEngine::run(const netcalc::Options& nc_options,
@@ -687,12 +696,10 @@ void AnalysisEngine::run_trajectory_contained(
   });
 
   metrics_.shards.clear();
+  metrics_.prefix_work = {};
   for (const Shard& shard : local) {
     if (!shard.analyzer.has_value()) continue;
-    const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
-    metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
-                                           c.lookups, c.local_hits,
-                                           c.shared_hits});
+    record_shard(shard.vls, shard.paths_done, *shard.analyzer);
   }
 }
 
@@ -857,6 +864,7 @@ StreamSummary AnalysisEngine::run_streaming(
   // the summary carries them so a streaming caller can observe reuse
   // (e.g. a warm second run) without reaching into engine metrics.
   summary.shards = metrics_.shards;
+  summary.prefix_work = metrics_.prefix_work;
   summary.port_cache = cache_.stats() - cache0;
   summary.prefix_cache = prefix_stats_total() - prefix0;
   metrics_.cache_run = summary.port_cache;

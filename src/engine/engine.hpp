@@ -90,6 +90,9 @@ struct ShardMetrics {
   std::uint64_t lookups = 0;
   std::uint64_t local_hits = 0;
   std::uint64_t shared_hits = 0;
+  /// Prefix work the shard's analyzer performed (prefixes computed rather
+  /// than looked up, and their segments, candidates and busy rounds).
+  trajectory::PrefixWork work;
 
   [[nodiscard]] double hit_rate() const noexcept {
     return lookups == 0
@@ -131,6 +134,9 @@ struct RunMetrics {
   /// (empty until one ran). Ordered by worker index; workers that never
   /// picked up trajectory work are omitted.
   std::vector<ShardMetrics> shards;
+  /// Prefix work of the most recent trajectory phase, summed over shards.
+  /// A warm rerun answered from the engine's prefix caches computes none.
+  trajectory::PrefixWork prefix_work;
   /// Outcome of the most recent run_incremental.
   IncrementalStats incremental;
   int threads = 1;
@@ -236,8 +242,10 @@ struct StreamSummary {
   /// zeros on a re-run means the reuse machinery is broken.
   CacheStats port_cache;
   trajectory::PrefixCacheStats prefix_cache;
-  /// Per-worker shard statistics of the trajectory phase (see ShardMetrics).
+  /// Per-worker shard statistics of the trajectory phase (see ShardMetrics)
+  /// and their summed prefix work.
   std::vector<ShardMetrics> shards;
+  trajectory::PrefixWork prefix_work;
 
   [[nodiscard]] Microseconds mean_combined() const noexcept {
     return ok == 0 ? 0.0 : sum_combined / static_cast<Microseconds>(ok);
@@ -401,6 +409,10 @@ class AnalysisEngine {
                                 const RunControl& control,
                                 const std::vector<std::size_t>& paths,
                                 const PathCallback& on_path);
+  /// Appends one shard's statistics to metrics_.shards and adds its
+  /// prefix work to metrics_.prefix_work.
+  void record_shard(std::size_t vls, std::size_t paths,
+                    const trajectory::Analyzer& analyzer);
   /// run_resilient, optionally reusing a baseline (run_incremental).
   [[nodiscard]] RunResult run_resilient_with(
       const netcalc::Options& nc_options,

@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 namespace afdx::trajectory::sweep {
 
 namespace {
-
-/// Same formula as the analyzer's frame_count: frames of a sporadic flow
-/// (period T, window widened by a) interfering with a packet generated at
-/// t. Pure IEEE-754 operations, no contraction targets on this TU, so the
-/// result is bitwise the value the pre-SIMD analyzer computed inline.
-inline double frame_count(Microseconds t, Microseconds a,
-                          Microseconds period) noexcept {
-  const double window = t + a;
-  if (window < -kEpsilon) return 0.0;
-  return std::floor(window / period + 1e-9) + 1.0;
-}
 
 Kind initial_kind() noexcept {
   if (const char* env = std::getenv("AFDX_SWEEP"); env != nullptr) {

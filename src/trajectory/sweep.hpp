@@ -40,11 +40,26 @@
 // process this way), as does set_active().
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #include "common/units.hpp"
 
 namespace afdx::trajectory::sweep {
+
+/// Number of frames of a sporadic flow (period T, arrival window widened by
+/// the jitter term a) that can interfere with a packet generated at t. The
+/// one definition the analyzer and the scalar kernel share: pure IEEE-754
+/// operations, so every caller computes the same bits. The AVX2 kernel
+/// uses its lane-wise translation frame_count4 and must not call this one
+/// (an out-of-line copy emitted from that translation unit would carry
+/// AVX2 code under a symbol the scalar callers share).
+inline double frame_count(Microseconds t, Microseconds a,
+                          Microseconds period) noexcept {
+  const double window = t + a;
+  if (window < -kEpsilon) return 0.0;
+  return std::floor(window / period + 1e-9) + 1.0;
+}
 
 enum class Kind {
   kScalar,

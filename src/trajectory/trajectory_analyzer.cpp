@@ -1,9 +1,6 @@
 #include "trajectory/trajectory_analyzer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <map>
 
 #include "common/error.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
@@ -14,65 +11,32 @@
 
 namespace afdx::trajectory {
 
-namespace {
-
-/// Number of frames of a sporadic flow (period T, arrival window widened by
-/// the jitter term a) that can interfere with a packet generated at t.
-double frame_count(Microseconds t, Microseconds a, Microseconds period) {
-  const double window = t + a;
-  if (window < -kEpsilon) return 0.0;
-  return std::floor(window / period + 1e-9) + 1.0;
-}
-
-/// splitmix64 finalizer for the generator-pair dedup probe below.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-/// One interference term: a maximal run of consecutive shared nodes of an
-/// interfering flow along the study path.
-struct Segment {
-  Microseconds a = 0.0;       // jitter window widening A_ij
-  Microseconds c = 0.0;       // largest per-node transmission time in the run
-  Microseconds period = 0.0;  // BAG of j
-};
-
-}  // namespace
-
-// Reusable per-prefix scratch. All vectors keep their capacity across
-// prefixes; the vl_count-sized open-segment tables are validated by epoch
-// instead of being cleared (clearing would cost O(vl_count) per prefix,
-// prohibitive on 100k-VL configurations).
+// Reusable per-prefix scratch; every vector keeps its capacity across the
+// prefixes computed at its recursion depth.
 struct Analyzer::ScratchFrame {
   std::vector<LinkId> sub;
-  std::vector<Segment> segments;
-  std::vector<std::vector<std::size_t>> node_first_met;
-  // The SoA a / c / period columns themselves live on the analyzer's bump
-  // arena (carved per prefix, rewound on exit); only the variable-length
-  // candidate buffer stays a pooled vector here.
-  std::vector<Microseconds> candidates;
-  /// Unique (period, a) generator pairs feeding the candidate sweep, and
-  /// the epoch-tagged probe table that deduplicates them (bit-pattern
-  /// equality; sorting the pairs per prefix profiled as the single
-  /// largest cost once the sweep itself was vectorized).
-  std::vector<std::pair<Microseconds, Microseconds>> gen_pairs;
-  struct GenSlot {
-    std::uint64_t period_bits = 0;
-    std::uint64_t a_bits = 0;
-    std::uint64_t epoch = 0;
+  // SoA interference columns: one row per segment, grouped by the node the
+  // segment starts at (node idx owns rows [node_begin[idx],
+  // node_begin[idx + 1])). The study flow's own segment is kept apart.
+  std::vector<Microseconds> a;
+  std::vector<Microseconds> c;
+  std::vector<Microseconds> period;
+  std::vector<std::size_t> node_begin;
+  std::vector<Microseconds> node_cap;
+  std::vector<char> saturated;
+  // Column row of the segment each entry of the current / previous node's
+  // flow row belongs to (kOwnSegment for the study flow).
+  std::vector<std::size_t> seg_at;
+  std::vector<std::size_t> seg_prev;
+  // Segments first met at the current node, tagged with their input link
+  // and arrival order (non-serialized variant only, for the surcharge).
+  struct Member {
+    LinkId input = kInvalidLink;
+    std::uint32_t order = 0;
+    Microseconds c = 0.0;
   };
-  std::vector<GenSlot> gen_table;
-  /// Open segment per flow, indexed by VlId; an entry is live only when
-  /// open_epoch[j] matches the frame's current epoch.
-  std::vector<std::size_t> open_seg;
-  std::vector<std::size_t> open_last;
-  std::vector<std::uint64_t> open_epoch;
-  std::uint64_t epoch = 0;
+  std::vector<Member> members;
+  std::vector<Microseconds> candidates;
 };
 
 Analyzer::~Analyzer() = default;
@@ -156,7 +120,7 @@ Microseconds Analyzer::min_arrival_at(VlId vl, LinkId link) const {
   return acc;
 }
 
-const std::vector<Analyzer::FlowAtLink>& Analyzer::flows_at(LinkId l) {
+std::vector<Analyzer::FlowAtLink>& Analyzer::flows_at(LinkId l) {
   const Network& net = cfg_.network();
   if (flows_.empty()) {
     flows_.resize(net.link_count());
@@ -168,9 +132,23 @@ const std::vector<Analyzer::FlowAtLink>& Analyzer::flows_at(LinkId l) {
     out.reserve(crossing.size());
     for (VlId j : crossing) {
       const VirtualLink& v = cfg_.vl(j);
-      out.push_back(FlowAtLink{j, cfg_.route(j).predecessor(l),
-                               v.max_transmission_time(net.link(l).rate),
-                               v.bag, v.max_release_jitter});
+      FlowAtLink f;
+      f.id = j;
+      f.pred = cfg_.route(j).predecessor(l);
+      if (f.pred != kInvalidLink) {
+        // vls_on_link is ascending by VlId, so j's position in its
+        // predecessor's row is one binary search away.
+        const std::vector<VlId>& up = cfg_.vls_on_link(f.pred);
+        const auto it = std::lower_bound(up.begin(), up.end(), j);
+        AFDX_REQUIRE(it != up.end() && *it == j,
+                     "trajectory: VL " + v.name +
+                         " is missing from its predecessor port's crossing "
+                         "list (vls_on_link must be ascending by VlId)");
+        f.pred_pos = static_cast<std::uint32_t>(it - up.begin());
+      }
+      f.c = v.max_transmission_time(net.link(l).rate);
+      f.period = v.bag;
+      out.push_back(f);
     }
     flows_ready_[l] = 1;
   }
@@ -225,6 +203,7 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   static obs::Counter& prefixes =
       obs::registry().counter("trajectory.prefixes");
   prefixes.add();
+  ++work_.prefixes;
   const Network& net = cfg_.network();
   const VlRoute& route_i = cfg_.route(i);
   AFDX_REQUIRE(route_i.crosses(last), "compute_prefix: VL does not cross link");
@@ -243,16 +222,6 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
     ~DepthGuard() { --depth; }
   } depth_guard{scratch_depth_};
 
-  // Arena rewind point for this prefix's SoA columns. Columns are carved
-  // only after the segment recursion below returns, so marks nest strictly
-  // (a child prefix allocates and rewinds before its parent allocates) and
-  // the steady state reuses the same hot arena pages for every prefix.
-  struct ArenaGuard {
-    common::BumpArena& arena;
-    common::BumpArena::Mark mark;
-    ~ArenaGuard() { arena.rewind(mark); }
-  } arena_guard{arena_, arena_.mark()};
-
   // The unique tree prefix l_0 .. l_{m-1} ending at `last`.
   std::vector<LinkId>& sub = fr.sub;
   sub.clear();
@@ -266,144 +235,138 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
     return cfg_.vl(j).max_transmission_time(net.link(l).rate);
   };
 
-  // Per-link precomputed flow rows (predecessor, C_j, BAG, jitter) -- the
-  // segment-construction loop below is the analyzer's second-hottest spot
-  // after response(), and route/hash lookups dominated it. Rows are built
-  // on first use (here, before the recursion below can build others), so
-  // an incremental run only pays for the ports its cone touches.
-  for (LinkId lk : sub) (void)flows_at(lk);
-  const std::vector<std::vector<FlowAtLink>>& flows = flows_;
-
-  // --- Interference segments -------------------------------------------------
+  // --- Interference segments, written straight into the columns ------------
   // A flow j contributes one term per maximal run of consecutive shared
   // nodes; the run is "consecutive" only when j actually travels along i's
-  // path (its predecessor at node k is node k-1).
-  std::vector<Segment>& segments = fr.segments;
-  segments.clear();
-  std::size_t own_segment = 0;  // index of i's own (first) segment
-  // Open segment per flow, indexed by VlId: index into `segments`, and last
-  // covered node. An entry is live only when its epoch matches the frame's
-  // current one -- bumping the epoch invalidates the whole table in O(1).
-  if (fr.open_seg.size() != cfg_.vl_count()) {
-    fr.open_seg.assign(cfg_.vl_count(), 0);
-    fr.open_last.assign(cfg_.vl_count(), 0);
-    fr.open_epoch.assign(cfg_.vl_count(), 0);
-    fr.epoch = 0;
-  }
-  const std::uint64_t epoch = ++fr.epoch;
-
-  // Segments grouped by their starting node (for the FIFO backlog caps) and
-  // by (starting node, input link) (for the simultaneity surcharge of the
-  // non-serialized variant). i's own segment is excluded from both.
-  if (fr.node_first_met.size() < m) fr.node_first_met.resize(m);
-  for (std::size_t idx = 0; idx < m; ++idx) fr.node_first_met[idx].clear();
-  std::vector<std::vector<std::size_t>>& node_first_met = fr.node_first_met;
-  struct LinkGroup {
-    Microseconds sum_c = 0.0;
-    Microseconds max_c = 0.0;
-    int members = 0;
-  };
-  // Only the non-serialized variant reads the groups (surcharge below).
-  std::map<std::pair<std::size_t, LinkId>, LinkGroup> link_groups;
+  // path. j continues its run at node idx exactly when its predecessor
+  // there is node idx-1: it then crossed node idx-1 and was visited in
+  // that node's row at position f.pred_pos, which names its open segment.
+  // New segments are appended per node in row order, so node idx's
+  // segments are contiguous; i's own (first) segment is kept apart.
+  constexpr std::size_t kOwnSegment = static_cast<std::size_t>(-1);
+  fr.a.clear();
+  fr.c.clear();
+  fr.period.clear();
+  fr.node_begin.clear();
+  fr.members.clear();
+  Microseconds own_a = 0.0;
+  Microseconds own_c = 0.0;
+  Microseconds own_period = 0.0;
+  // Double-counted busy-period boundary packet at every node after the
+  // first: bounded by the largest frame of a VL met in that node (the
+  // paper's stated over-approximation), plus the technological latencies.
+  Microseconds delta_sum = 0.0;
+  Microseconds latency_sum = 0.0;
+  // Non-serialized variant: the assumed-simultaneous first frames of each
+  // group of segments sharing a starting node and an input link cost their
+  // serialization span on top (Fig. 3 versus Fig. 4 of the paper).
+  // Summed node by node, input links ascending, members in row order.
+  Microseconds surcharge = 0.0;
 
   for (std::size_t idx = 0; idx < m; ++idx) {
     const LinkId lk = sub[idx];
+    const LinkId prev = idx > 0 ? sub[idx - 1] : kInvalidLink;
     const Microseconds latency_lk = net.link(lk).latency;
+    // Rows are built on first use, so an incremental run only pays for the
+    // ports its cone touches.
+    std::vector<FlowAtLink>& row = flows_at(lk);
+    fr.node_begin.push_back(fr.a.size());
+    fr.seg_at.resize(row.size());
     // The study packet's own arrival-window term is the same for every
     // flow first met at this node; computed lazily on the first new
     // segment (so the exact set of recursive prefix computations is
     // unchanged) and reused for the rest of the node's flows.
     bool jitter_i_cached = false;
     Microseconds jitter_i_node = 0.0;
-    for (const FlowAtLink& f : flows[lk]) {
-      const VlId j = f.id;
-      const LinkId pred_j = f.pred;
-      if (fr.open_epoch[j] == epoch && idx > 0 && fr.open_last[j] == idx - 1 &&
-          pred_j == sub[idx - 1]) {
-        // j keeps travelling along i's path: extend its segment.
-        Segment& seg = segments[fr.open_seg[j]];
-        seg.c = std::max(seg.c, f.c);
-        fr.open_last[j] = idx;
+    // The boundary packet closes the busy period of node idx-1 and opens
+    // the one of node idx, so it physically travels that transition; only
+    // flows routed through it qualify (always at least flow i). The loose
+    // variant keeps the paper's wording: any VL met in the node.
+    Microseconds biggest = 0.0;
+    for (std::size_t pos = 0; pos < row.size(); ++pos) {
+      FlowAtLink& f = row[pos];
+      if (prev != kInvalidLink && f.pred == prev) {
+        // f keeps travelling along i's path: extend its segment.
+        const std::size_t s = fr.seg_prev[f.pred_pos];
+        Microseconds& seg_c = (s == kOwnSegment) ? own_c : fr.c[s];
+        seg_c = std::max(seg_c, f.c);
+        fr.seg_at[pos] = s;
+        biggest = std::max(biggest, f.c);
         continue;
       }
-      // New segment starting at node lk. The arrival window of j at this
+      if (opt_.loose_boundary_packet) biggest = std::max(biggest, f.c);
+      // New segment starting at node lk. The arrival window of f at this
       // node is widened by its source release jitter plus the spread
       // between its best- and worst-case prefix traversal.
-      const Microseconds max_arr_j =
-          f.release_jitter +
-          ((pred_j == kInvalidLink)
-               ? 0.0
-               : bound_to_link(j, pred_j) + latency_lk);
-      const Microseconds jitter_j = max_arr_j - min_arrival_at(j, lk);
+      if (!f.window_ready) {
+        const Microseconds max_arr_j =
+            cfg_.vl(f.id).max_release_jitter +
+            ((f.pred == kInvalidLink)
+                 ? 0.0
+                 : bound_to_link(f.id, f.pred) + latency_lk);
+        f.window = max_arr_j - min_arrival_at(f.id, lk);
+        f.window_ready = true;
+      }
       Microseconds jitter_i = 0.0;
-      if (j != i || idx > 0) {
+      if (f.id != i) {
         // The study packet's own release instant is the time origin, so
         // only its traversal spread (not its release jitter) widens the
-        // window.
+        // window. (i itself starts a segment only at node 0: further on,
+        // its predecessor is always the previous node.)
         if (!jitter_i_cached) {
           const Microseconds max_arr_i =
-              (idx == 0) ? 0.0
-                         : bound_to_link(i, sub[idx - 1]) + latency_lk;
+              (idx == 0) ? 0.0 : bound_to_link(i, prev) + latency_lk;
           jitter_i_node = max_arr_i - min_arrival_at(i, lk);
           jitter_i_cached = true;
         }
         jitter_i = jitter_i_node;
       }
-      Segment seg;
-      seg.a = jitter_j + jitter_i;
-      seg.c = f.c;
-      seg.period = f.period;
-      segments.push_back(seg);
-      fr.open_seg[j] = segments.size() - 1;
-      fr.open_last[j] = idx;
-      fr.open_epoch[j] = epoch;
-
-      if (j == i && idx == 0) {
-        own_segment = segments.size() - 1;
+      const Microseconds a = f.window + jitter_i;
+      if (f.id == i) {
+        own_a = a;
+        own_c = f.c;
+        own_period = f.period;
+        fr.seg_at[pos] = kOwnSegment;
         continue;
       }
-      node_first_met[idx].push_back(segments.size() - 1);
-      if (!opt_.serialization && pred_j != kInvalidLink) {
-        LinkGroup& g = link_groups[{idx, pred_j}];
-        g.sum_c += seg.c;
-        g.max_c = std::max(g.max_c, seg.c);
-        ++g.members;
+      fr.seg_at[pos] = fr.a.size();
+      fr.a.push_back(a);
+      fr.c.push_back(f.c);
+      fr.period.push_back(f.period);
+      if (!opt_.serialization && f.pred != kInvalidLink) {
+        fr.members.push_back(ScratchFrame::Member{
+            f.pred, static_cast<std::uint32_t>(fr.members.size()), f.c});
       }
     }
-  }
-
-  // --- Constant terms --------------------------------------------------------
-  // Double-counted busy-period boundary packet at every node after the
-  // first: bounded by the largest frame of a VL met in that node (the
-  // paper's stated over-approximation), plus the technological latencies.
-  Microseconds delta_sum = 0.0;
-  Microseconds latency_sum = 0.0;
-  for (std::size_t idx = 1; idx < m; ++idx) {
-    const LinkId lk = sub[idx];
-    Microseconds biggest = 0.0;
-    for (const FlowAtLink& f : flows[lk]) {
-      // The boundary packet closes the busy period of node idx-1 and opens
-      // the one of node idx, so it physically travels that transition;
-      // only flows routed through it qualify (always at least flow i).
-      // The loose variant keeps the paper's wording: any VL met in the node.
-      if (!opt_.loose_boundary_packet && f.pred != sub[idx - 1]) {
-        continue;
+    if (idx > 0) {
+      delta_sum += biggest;
+      latency_sum += latency_lk;
+    }
+    if (!fr.members.empty()) {
+      std::sort(fr.members.begin(), fr.members.end(),
+                [](const ScratchFrame::Member& x, const ScratchFrame::Member& y) {
+                  return x.input != y.input ? x.input < y.input
+                                            : x.order < y.order;
+                });
+      for (std::size_t g = 0; g < fr.members.size();) {
+        Microseconds sum_c = 0.0;
+        Microseconds max_c = 0.0;
+        std::size_t end = g;
+        for (; end < fr.members.size() && fr.members[end].input ==
+                                               fr.members[g].input;
+             ++end) {
+          sum_c += fr.members[end].c;
+          max_c = std::max(max_c, fr.members[end].c);
+        }
+        if (end - g >= 2) surcharge += sum_c - max_c;
+        g = end;
       }
-      biggest = std::max(biggest, f.c);
+      fr.members.clear();
     }
-    delta_sum += biggest;
-    latency_sum += net.link(lk).latency;
+    std::swap(fr.seg_at, fr.seg_prev);
   }
-
-  // Non-serialized variant: the assumed-simultaneous first frames of each
-  // shared-input-link group cost their serialization span on top (Fig. 3
-  // versus Fig. 4 of the paper).
-  Microseconds surcharge = 0.0;
-  if (!opt_.serialization) {
-    for (const auto& [key, g] : link_groups) {
-      if (g.members >= 2) surcharge += g.sum_c - g.max_c;
-    }
-  }
+  const std::size_t seg_total = fr.a.size();
+  fr.node_begin.push_back(seg_total);
 
   const Microseconds c_first = c_of(i, sub.front());
   const Microseconds c_last = c_of(i, sub.back());
@@ -412,47 +375,31 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
 
   // Serialization caps: per node, the first-met flows cannot have more work
   // queued in front of the packet than the port's worst-case FIFO backlog.
+  // Capping by +infinity is exact, which makes the serialization branch
+  // loop-invariant in the sweep.
   const std::vector<Microseconds>& caps = backlog_caps();
-
-  // Flatten the per-node segment lists into contiguous SoA columns (same
-  // node-by-node summation order, so the bound is arithmetic-identical) --
+  fr.node_cap.resize(m);
+  for (std::size_t idx = 0; idx < m; ++idx) {
+    fr.node_cap[idx] = opt_.serialization
+                           ? caps[sub[idx]]
+                           : std::numeric_limits<Microseconds>::infinity();
+  }
   // response() below is evaluated O(candidates x busy rounds) times and
   // dominates the whole analysis; streaming a / c / period as three
-  // separate arrays lets the sweep kernel vectorize across candidates.
-  // Capping by +infinity is exact, which makes the serialization branch
-  // loop-invariant. The columns are carved from the per-analyzer bump
-  // arena (rewound on exit, see ArenaGuard above): exact-size, adjacent in
-  // one block, no vector growth bookkeeping in the hot path.
-  const std::size_t seg_total = segments.size();
-  Microseconds* const flat_a = arena_.alloc_array<Microseconds>(seg_total);
-  Microseconds* const flat_c = arena_.alloc_array<Microseconds>(seg_total);
-  Microseconds* const flat_period =
-      arena_.alloc_array<Microseconds>(seg_total);
-  std::size_t* const node_begin = arena_.alloc_array<std::size_t>(m + 1);
-  Microseconds* const node_cap = arena_.alloc_array<Microseconds>(m);
-  char* const saturated = arena_.alloc_array<char>(m);
-  std::size_t cursor = 0;
-  for (std::size_t idx = 0; idx < m; ++idx) {
-    node_begin[idx] = cursor;
-    for (std::size_t s : node_first_met[idx]) {
-      flat_a[cursor] = segments[s].a;
-      flat_c[cursor] = segments[s].c;
-      flat_period[cursor] = segments[s].period;
-      ++cursor;
-    }
-    node_cap[idx] = opt_.serialization
-                        ? caps[sub[idx]]
-                        : std::numeric_limits<Microseconds>::infinity();
-  }
-  node_begin[m] = cursor;
-  const Segment own = segments[own_segment];
+  // separate columns lets the sweep kernel vectorize across candidates.
+  const Microseconds* const flat_a = fr.a.data();
+  const Microseconds* const flat_c = fr.c.data();
+  const Microseconds* const flat_period = fr.period.data();
+  const std::size_t* const node_begin = fr.node_begin.data();
+  const Microseconds* const node_cap = fr.node_cap.data();
 
   auto response = [&](Microseconds t) {
-    Microseconds w = frame_count(t, own.a, own.period) * own.c;
+    Microseconds w = sweep::frame_count(t, own_a, own_period) * own_c;
     for (std::size_t idx = 0; idx < m; ++idx) {
       Microseconds node_sum = 0.0;
       for (std::size_t s = node_begin[idx]; s < node_begin[idx + 1]; ++s) {
-        node_sum += frame_count(t, flat_a[s], flat_period[s]) * flat_c[s];
+        node_sum +=
+            sweep::frame_count(t, flat_a[s], flat_period[s]) * flat_c[s];
       }
       w += std::min(node_sum, node_cap[idx]);
     }
@@ -483,8 +430,10 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
       obs::registry().histogram("trajectory.segments_per_prefix");
   static obs::Histogram& round_hist =
       obs::registry().histogram("trajectory.busy_rounds");
-  seg_hist.observe(segments.size());
+  seg_hist.observe(seg_total + 1);
   round_hist.observe(static_cast<std::uint64_t>(rounds));
+  work_.segments += seg_total + 1;
+  work_.busy_rounds += static_cast<std::uint64_t>(rounds);
   static obs::Histogram& cand_hist =
       obs::registry().histogram("trajectory.candidates_per_prefix");
 
@@ -497,11 +446,12 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   //    admissible t, so when that envelope minus t can no longer beat
   //    `best`, neither can any later candidate.
   const Microseconds t_max = busy + kEpsilon;
-  Microseconds w_max = frame_count(t_max, own.a, own.period) * own.c;
+  Microseconds w_max = sweep::frame_count(t_max, own_a, own_period) * own_c;
   for (std::size_t idx = 0; idx < m; ++idx) {
     Microseconds node_sum = 0.0;
     for (std::size_t s = node_begin[idx]; s < node_begin[idx + 1]; ++s) {
-      node_sum += frame_count(t_max, flat_a[s], flat_period[s]) * flat_c[s];
+      node_sum +=
+          sweep::frame_count(t_max, flat_a[s], flat_period[s]) * flat_c[s];
     }
     w_max += std::min(node_sum, node_cap[idx]);
   }
@@ -510,50 +460,25 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   // --- Maximize over the candidate generation instants ------------------------
   // R(t) decreases with slope -1 between frame-count jumps (the caps are
   // constants), so the max is attained at t = 0 or at a jump. Segments with
-  // equal (BAG, A) generate bitwise-equal jump instants, so deduplicating
-  // the generators drops repeat evaluations without changing the maximum
-  // (max over the same value set is order-free). The dedup is an
-  // epoch-tagged bit-pattern probe table: sorting the pairs per prefix
-  // profiled as the top cost once the sweep itself was vectorized, and the
-  // candidates are globally sorted below anyway.
-  std::vector<std::pair<Microseconds, Microseconds>>& gen_pairs = fr.gen_pairs;
-  gen_pairs.clear();
-  std::size_t table_size = 64;
-  while (table_size < 2 * segments.size()) table_size *= 2;
-  if (fr.gen_table.size() < table_size) {
-    fr.gen_table.assign(table_size, ScratchFrame::GenSlot{});
-  }
-  const std::size_t table_mask = fr.gen_table.size() - 1;
-  for (const Segment& s : segments) {
-    std::uint64_t pb = 0;
-    std::uint64_t ab = 0;
-    std::memcpy(&pb, &s.period, sizeof(pb));
-    std::memcpy(&ab, &s.a, sizeof(ab));
-    std::size_t h = static_cast<std::size_t>(mix64(pb ^ mix64(ab))) & table_mask;
-    while (true) {
-      ScratchFrame::GenSlot& slot = fr.gen_table[h];
-      if (slot.epoch != epoch) {
-        slot = ScratchFrame::GenSlot{pb, ab, epoch};
-        gen_pairs.emplace_back(s.period, s.a);
-        break;
-      }
-      if (slot.period_bits == pb && slot.a_bits == ab) break;  // duplicate
-      h = (h + 1) & table_mask;
-    }
-  }
+  // equal (BAG, A) generate bitwise-equal jump instants; sort + unique below
+  // drops the repeats (t = k * period - a is never -0.0, so == dedups by
+  // bit pattern), which leaves the same value set as deduplicating the
+  // generators first.
   // Generation cut: `best` is nondecreasing from response(0), so any
   // candidate with envelope - t <= response(0) is provably pruned by the
   // sweep's envelope check -- skip materializing it (each generator's
   // instants ascend with k, so the cut is a plain break).
   std::vector<Microseconds>& candidates = fr.candidates;
   candidates.clear();
-  for (const auto& [period, a] : gen_pairs) {
+  const auto generate = [&](Microseconds period, Microseconds a) {
     for (int k = 1;; ++k) {
       const Microseconds t = k * period - a;
       if (t > busy + kEpsilon || envelope - t <= response_at_zero) break;
       if (t >= 0.0) candidates.push_back(t);
     }
-  }
+  };
+  generate(own_period, own_a);
+  for (std::size_t s = 0; s < seg_total; ++s) generate(flat_period[s], flat_a[s]);
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
@@ -563,18 +488,19 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   // variant batches 4 candidates per lane-parallel walk of the columns and
   // is bit-identical to the scalar fallback by construction.
   cand_hist.observe(candidates.size());
+  work_.candidates += candidates.size();
   static obs::Counter& simd_sweeps =
       obs::registry().counter("trajectory.sweep.simd");
   static obs::Counter& scalar_sweeps =
       obs::registry().counter("trajectory.sweep.scalar");
   const sweep::Kind kind = sweep::active();
   (kind == sweep::Kind::kSimd ? simd_sweeps : scalar_sweeps).add();
-  std::memset(saturated, 0, m);
+  fr.saturated.assign(m, 0);
   const sweep::Columns cols{flat_a,   flat_c, flat_period, node_begin,
-                            node_cap, m,      own.a,       own.c,
-                            own.period};
+                            node_cap, m,      own_a,       own_c,
+                            own_period};
   best = sweep::run(kind, cols, candidates.data(), candidates.size(), consts,
-                    envelope, best, saturated);
+                    envelope, best, fr.saturated.data());
 
   // The bound can never beat the jitter-free store-and-forward traversal.
   Microseconds floor_bound = c_last;

@@ -42,19 +42,40 @@
 // configurations are feed-forward).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/flat_map.hpp"
 #include "vl/traffic_config.hpp"
 
 namespace afdx::trajectory {
 
 class PrefixCache;
+
+/// Prefix work an analyzer performed: prefixes computed (not looked up),
+/// and their interference segments, sweep candidates and busy-period
+/// fixed-point rounds. The same quantities the trajectory.* registry
+/// metrics observe, but scoped to one analyzer instead of the whole
+/// process (the engine builds fresh shard analyzers for every run and sums
+/// their work per run).
+struct PrefixWork {
+  std::uint64_t prefixes = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t candidates = 0;
+  std::uint64_t busy_rounds = 0;
+
+  PrefixWork& operator+=(const PrefixWork& o) noexcept {
+    prefixes += o.prefixes;
+    segments += o.segments;
+    candidates += o.candidates;
+    busy_rounds += o.busy_rounds;
+    return *this;
+  }
+};
 
 struct Options {
   /// Apply the serialization (grouping) refinement. When false, the
@@ -129,7 +150,10 @@ class Analyzer {
   /// Where this instance's prefix lookups were answered: the local memo,
   /// the shared cache, or neither (freshly computed). The engine surfaces
   /// these per shard -- with locality-aware VL ordering, neighbouring VLs
-  /// share prefixes, so a healthy shard shows a high local hit rate.
+  /// share prefixes, so a healthy shard shows a high local hit rate. An
+  /// interfering flow's arrival window is read from its flow row after the
+  /// first use, so only first uses (and the study flow's own windows)
+  /// count as lookups.
   struct CacheCounters {
     std::uint64_t lookups = 0;
     std::uint64_t local_hits = 0;
@@ -139,30 +163,44 @@ class Analyzer {
     return counters_;
   }
 
+  /// Prefix work this instance performed since construction.
+  [[nodiscard]] const PrefixWork& work() const noexcept { return work_; }
+
  private:
-  /// Per-link precomputation of the crossing flows: predecessor link,
-  /// largest-frame transmission time at the link's rate, BAG and release
-  /// jitter, in vls_on_link order. Built once per link on first use;
-  /// removes the per-prefix route/hash lookups from the segment-
-  /// construction loop.
+  /// Per-link precomputation of the crossing flows, in vls_on_link order
+  /// (ascending VlId). Built once per link on first use, so the segment
+  /// pass of compute_prefix reads each node's row sequentially instead of
+  /// probing hash tables or VL-indexed arrays per interfering flow.
   struct FlowAtLink {
     VlId id = kInvalidVl;
+    /// Predecessor link of the flow (kInvalidLink at its source port) and
+    /// the flow's index in that link's row: a flow continuing along the
+    /// study path from the previous node is found there without a lookup.
     LinkId pred = kInvalidLink;
+    std::uint32_t pred_pos = 0;
+    /// Whether `window` holds the arrival-window term yet.
+    bool window_ready = false;
+    /// Largest-frame transmission time at the link's rate, and the BAG.
     Microseconds c = 0.0;
     Microseconds period = 0.0;
-    Microseconds release_jitter = 0.0;
+    /// Arrival window of the flow at this port: its release jitter plus
+    /// the spread between its worst- and best-case prefix traversal. A
+    /// function of (flow, port) only, filled on first use by the exact
+    /// expression (a throwing prefix fills nothing, so the failure
+    /// surfaces again on the next path that needs it).
+    Microseconds window = 0.0;
   };
 
-  /// Reusable per-prefix scratch (segment lists, SoA flattening, candidate
-  /// buffer, epoch-validated open-segment tables). compute_prefix re-enters
-  /// itself through bound_to_link while a frame is mid-construction, so the
-  /// scratch is a pool indexed by recursion depth, not flat instance state.
+  /// Reusable per-prefix scratch (interference columns, candidate buffer).
+  /// compute_prefix re-enters itself through bound_to_link while a frame is
+  /// mid-construction, so the scratch is a pool indexed by recursion depth,
+  /// not flat instance state.
   struct ScratchFrame;
 
   Microseconds compute_prefix(VlId vl, LinkId last);
   /// The flow row of link `l`, built on first use. Rows of other links
   /// stay valid while a row is built (the outer table never resizes).
-  const std::vector<FlowAtLink>& flows_at(LinkId l);
+  std::vector<FlowAtLink>& flows_at(LinkId l);
 
   /// Worst-case FIFO backlog of every used port, in time units at the
   /// port's rate (the serialization caps). Computed lazily from the
@@ -193,14 +231,8 @@ class Analyzer {
   /// on first use and keep their capacity across prefixes).
   std::vector<std::unique_ptr<ScratchFrame>> scratch_pool_;
   std::size_t scratch_depth_ = 0;
-  /// Bump arena for the per-prefix SoA candidate-sweep columns: each
-  /// compute_prefix carves its columns here and rewinds to its entry mark
-  /// on exit, so the sweep streams the same few hot pages for every prefix
-  /// of the shard instead of striding heap-grown vectors. (Columns are
-  /// only allocated after the segment recursion returns, so marks nest
-  /// strictly and a rewind can never free a caller's columns.)
-  common::BumpArena arena_;
   CacheCounters counters_;
+  PrefixWork work_;
 };
 
 /// One-shot convenience wrapper.

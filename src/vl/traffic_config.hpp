@@ -130,7 +130,9 @@ class TrafficConfig {
   /// The link sequence of one path.
   [[nodiscard]] const VlPath& path(PathRef ref) const;
 
-  /// Ids of the VLs whose tree crosses output port `l` (deterministic order).
+  /// Ids of the VLs whose tree crosses output port `l`, strictly ascending
+  /// by VlId. Callers rely on the order: the trajectory analyzer locates a
+  /// VL in its predecessor port's list by binary search.
   [[nodiscard]] const std::vector<VlId>& vls_on_link(LinkId l) const;
 
   /// Output ports fed by port `l`: every port a VL crossing `l` is

@@ -674,6 +674,58 @@ TEST(Engine, StreamingWarmRerunHitsSharedCaches) {
   }
 }
 
+// The run-scoped prefix tally: on one thread the shard analyzers are the
+// only prefix computations of the run, so their summed work must equal the
+// process-wide registry's deltas exactly.
+TEST(EngineMetrics, PrefixWorkTallyMatchesRegistryDelta) {
+  const TrafficConfig cfg = small_industrial();
+  obs::Registry& reg = obs::registry();
+  const std::uint64_t prefixes0 = reg.counter("trajectory.prefixes").value();
+  const std::uint64_t segments0 =
+      reg.histogram("trajectory.segments_per_prefix").sum();
+  const std::uint64_t candidates0 =
+      reg.histogram("trajectory.candidates_per_prefix").sum();
+  const std::uint64_t rounds0 = reg.histogram("trajectory.busy_rounds").sum();
+  AnalysisEngine eng(cfg, {1});
+  const StreamSummary s = eng.run_streaming(nullptr);
+  ASSERT_EQ(s.failed + s.skipped, 0u);
+  EXPECT_GT(s.prefix_work.prefixes, 0u);
+  EXPECT_EQ(s.prefix_work.prefixes,
+            reg.counter("trajectory.prefixes").value() - prefixes0);
+  EXPECT_EQ(s.prefix_work.segments,
+            reg.histogram("trajectory.segments_per_prefix").sum() - segments0);
+  EXPECT_EQ(
+      s.prefix_work.candidates,
+      reg.histogram("trajectory.candidates_per_prefix").sum() - candidates0);
+  EXPECT_EQ(s.prefix_work.busy_rounds,
+            reg.histogram("trajectory.busy_rounds").sum() - rounds0);
+  // The summary's total is the sum of its shards', and the engine's
+  // metrics carry the same run's figures.
+  trajectory::PrefixWork summed;
+  for (const ShardMetrics& shard : s.shards) summed += shard.work;
+  EXPECT_EQ(summed.prefixes, s.prefix_work.prefixes);
+  EXPECT_EQ(summed.segments, s.prefix_work.segments);
+  EXPECT_EQ(eng.metrics().prefix_work.prefixes, s.prefix_work.prefixes);
+}
+
+// A warm rerun on the same engine answers every prefix from the engine's
+// prefix cache: its own tally shows no prefix computed, at any thread
+// count (the cold run's tally is not carried over).
+TEST(EngineMetrics, WarmRerunComputesNoPrefixes) {
+  const TrafficConfig cfg = small_industrial();
+  for (int threads : {1, 4}) {
+    AnalysisEngine eng(cfg, {threads});
+    const StreamSummary cold = eng.run_streaming(nullptr);
+    EXPECT_GT(cold.prefix_work.prefixes, 0u) << "threads=" << threads;
+    const StreamSummary warm = eng.run_streaming(nullptr);
+    EXPECT_EQ(warm.prefix_work.prefixes, 0u) << "threads=" << threads;
+    EXPECT_EQ(warm.prefix_work.segments, 0u) << "threads=" << threads;
+    const RunResult again = eng.run_resilient();
+    EXPECT_EQ(again.metrics.prefix_work.prefixes, 0u)
+        << "threads=" << threads;
+  }
+}
+
 TEST(Engine, ResilientHonoursCancelledToken) {
   const TrafficConfig cfg = small_industrial();
   CancelToken cancel;

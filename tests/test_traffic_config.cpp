@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "config/samples.hpp"
+#include "faults/degrade.hpp"
+#include "faults/scenario.hpp"
+#include "gen/industrial.hpp"
 
 namespace afdx {
 namespace {
@@ -291,6 +295,48 @@ TEST(TrafficConfig, IllustrativeConfigIsStableAndMultipath) {
   EXPECT_TRUE(cfg.stable());
   EXPECT_EQ(cfg.vl_count(), 10u);
   EXPECT_GT(cfg.all_paths().size(), cfg.vl_count());  // multicast present
+}
+
+
+// vls_on_link is strictly ascending by VlId on every port (the trajectory
+// analyzer's flow rows find a VL's predecessor position by binary search).
+void expect_vls_on_link_ascending(const TrafficConfig& cfg,
+                                  const std::string& what) {
+  for (LinkId l = 0; l < cfg.network().link_count(); ++l) {
+    const std::vector<VlId>& vls = cfg.vls_on_link(l);
+    EXPECT_TRUE(std::adjacent_find(vls.begin(), vls.end(),
+                                   [](VlId a, VlId b) { return a >= b; }) ==
+                vls.end())
+        << what << ": link " << l;
+  }
+}
+
+TEST(TrafficConfig, VlsOnLinkAscendOnGeneratedEditedAndDegradedConfigs) {
+  gen::IndustrialOptions o;
+  o.domains = 2;
+  o.vl_count = 300;
+  const TrafficConfig cfg = gen::industrial_config(o);
+  expect_vls_on_link_ascending(cfg, "generated");
+
+  std::vector<std::pair<VlId, VirtualLink>> edits;
+  for (VlId v = 0; v < cfg.vl_count(); v += 7) {
+    VirtualLink edited = cfg.vl(v);
+    edited.s_max = std::max<Bytes>(edited.s_min, edited.s_max / 2);
+    edits.emplace_back(v, edited);
+  }
+  expect_vls_on_link_ascending(cfg.with_vl_parameters(edits), "edited");
+
+  const std::vector<faults::FaultScenario> scenarios =
+      faults::single_link_scenarios(cfg);
+  ASSERT_FALSE(scenarios.empty());
+  std::size_t degraded = 0;
+  for (const faults::FaultScenario& s : scenarios) {
+    const faults::DegradedView view = faults::apply_scenario(cfg, s);
+    if (!view.config.has_value()) continue;
+    expect_vls_on_link_ascending(*view.config, s.name);
+    ++degraded;
+  }
+  EXPECT_GT(degraded, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 #include "config/samples.hpp"
@@ -351,6 +353,88 @@ TEST(TrajectorySweep, SimdMatchesScalarBitwiseOnFuzzedGrid) {
         EXPECT_EQ(scalar[i], simd[i])
             << "seed " << seed << " fanout " << fanout << " path " << i;
       }
+    }
+  }
+}
+
+// FNV-1a over (path index, bound bit pattern) in path order: a last-bit
+// change anywhere flips the digest, where the 6-decimal golden CSV and a
+// kernel-versus-kernel comparison would both stay silent.
+std::uint64_t bits_digest(const std::vector<Microseconds>& bounds) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &bounds[i], sizeof(bits));
+    mix(i);
+    mix(bits);
+  }
+  return h;
+}
+
+TrafficConfig small_industrial(Microseconds max_release_jitter = 0.0) {
+  gen::IndustrialOptions o;
+  o.vl_count = 120;
+  o.end_system_count = 24;
+  o.max_release_jitter = max_release_jitter;
+  return gen::industrial_config(o);
+}
+
+// The 2-domain, 2,500-VL network of the budgeted-ladder benchmark.
+TrafficConfig two_domain_network() {
+  gen::IndustrialOptions o;
+  o.domains = 2;
+  o.vl_count = 2500;
+  return gen::industrial_config(o);
+}
+
+// Every per-path bound pinned by its bits, under both sweep kernels (the
+// scalar kernel is the only one on hosts without AVX2, so it must meet the
+// same digests). The digests were recorded before the prefix construction
+// was rewritten from rows; any change to them is a change of bounds.
+TEST(TrajectoryBits, BoundDigestsArePinnedUnderBothKernels) {
+  KernelGuard guard;
+  Options no_serialization;
+  no_serialization.serialization = false;
+  Options loose;
+  loose.loose_boundary_packet = true;
+  struct Case {
+    const char* name;
+    TrafficConfig cfg;
+    Options options;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"sample", config::sample_config(), Options{},
+       0xd769b82b9dbd4069ull},
+      {"sample/no-serialization", config::sample_config(), no_serialization,
+       0x2b21524a2d84e089ull},
+      {"sample/loose-boundary", config::sample_config(), loose,
+       0xd769b82b9dbd4069ull},
+      {"small", small_industrial(), Options{}, 0x233f731c8b706567ull},
+      {"small/no-serialization", small_industrial(), no_serialization,
+       0xfe9e597ab4e8abf3ull},
+      {"small/loose-boundary", small_industrial(), loose,
+       0x78fb74315d6ed7e7ull},
+      {"small/release-jitter", small_industrial(250.0), Options{},
+       0x0640a0d55e8362b0ull},
+      {"two-domain", two_domain_network(), Options{},
+       0xd15be1c1937ce5c3ull},
+  };
+  std::vector<sweep::Kind> kinds{sweep::Kind::kScalar};
+  if (sweep::simd_available()) kinds.push_back(sweep::Kind::kSimd);
+  for (const Case& c : cases) {
+    for (const sweep::Kind kind : kinds) {
+      const std::uint64_t got =
+          bits_digest(bounds_with_kernel(c.cfg, kind, c.options));
+      EXPECT_EQ(got, c.digest)
+          << c.name << " under the " << sweep::name(kind) << " kernel: 0x"
+          << std::hex << got;
     }
   }
 }
